@@ -3,7 +3,8 @@
 ``chaoswpt run <config.yaml>`` executes the experiment named in the config and
 writes its CSV outputs plus ``manifest.yaml`` (the fully resolved config) into
 the output directory.  Exit status: 0 on success, 2 for an invalid or
-unreadable config, 3 for a runtime failure (divergence, undefined quantity).
+unreadable config, 3 for a runtime failure (divergence, undefined quantity,
+an output that cannot be written).
 
 All results are computed before anything is written, and every file is written
 atomically, so a failed run never leaves partial output behind.
@@ -172,7 +173,7 @@ def main(argv=None) -> int:
         return 2
     try:
         written = run_experiment(cfg)
-    except ChaosWptError as exc:
+    except (ChaosWptError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
     for path in written:

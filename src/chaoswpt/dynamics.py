@@ -13,7 +13,10 @@ x -> x/eps_x, y -> y/eps_y, z -> z/eps_z.  The discrete source is the Henon
 map x' = y + 1 - gamma*x^2, y' = delta*x.
 
 Integration is fixed-step classical fourth-order Runge-Kutta so that runs are
-bit-reproducible for a given (initial point, dt, horizon).
+bit-reproducible for a given (initial point, dt, horizon).  One time-blocked
+core, :func:`sample_blocks`, advances every orbit: single orbits step as Python
+floats, ensembles step in place as numpy arrays, and both run the same
+arithmetic in the same order.
 """
 
 from __future__ import annotations
@@ -29,6 +32,16 @@ from .errors import DivergenceError
 DEFAULT_DT = 1e-3
 DEFAULT_DIVERGENCE_BOUND = 1e6
 DEFAULT_TRANSIENT_FRACTION = 0.5
+
+#: length of the ``work`` list of the in-place steps: the new state's
+#: components first, then scratch
+WORK_ROWS = 10
+
+#: bytes of samples one block of an ensemble holds; sets the block length
+_BLOCK_BYTES = 1 << 18
+#: longest block, which bounds the single-orbit path that holds its block as
+#: Python floats
+_BLOCK_ROWS_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -131,19 +144,53 @@ def lorenz_rates(x, y, z, consts):
     return dx, dy, dz
 
 
-def rk4_step(x, y, z, dt, consts):
-    """One classical Runge-Kutta step; scalar and array components share this path."""
+def rk4_step(x, y, z, dt, consts, work=None):
+    """One classical Runge-Kutta step; scalar and array components share this path.
+
+    With ``work``, a list of WORK_ROWS preallocated arrays shaped like ``x``,
+    the step runs in place through ``out=`` ufuncs in the same operation
+    order, writes the new state into ``work[0:3]`` and returns those arrays.
+    """
     h = 0.5 * dt
-    k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
-    k2x, k2y, k2z = lorenz_rates(x + h * k1x, y + h * k1y, z + h * k1z, consts)
-    k3x, k3y, k3z = lorenz_rates(x + h * k2x, y + h * k2y, z + h * k2z, consts)
-    k4x, k4y, k4z = lorenz_rates(x + dt * k3x, y + dt * k3y, z + dt * k3z, consts)
     w = dt / 6.0
-    return (
-        x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-    )
+    if work is None:
+        k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
+        k2x, k2y, k2z = lorenz_rates(x + h * k1x, y + h * k1y, z + h * k1z, consts)
+        k3x, k3y, k3z = lorenz_rates(x + h * k2x, y + h * k2y, z + h * k2z, consts)
+        k4x, k4y, k4z = lorenz_rates(x + dt * k3x, y + dt * k3y, z + dt * k3z, consts)
+        return (
+            x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+            z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
+        )
+    # the new state's rows carry each stage's input until the final update
+    new, acc, k, tmp = work[0:3], work[3:6], work[6:9], work[9]
+    state = (x, y, z)
+    _lorenz_rates_into(x, y, z, consts, acc, tmp)
+    for c, a, n in zip(state, acc, new):
+        np.add(c, np.multiply(h, a, out=n), out=n)
+    # k2 and k3 enter the sum doubled, k4 once; k4 feeds no further stage
+    for stage_dt in (h, dt, None):
+        _lorenz_rates_into(*new, consts, k, tmp)
+        for c, a, kc, n in zip(state, acc, k, new):
+            if stage_dt is not None:
+                np.add(c, np.multiply(stage_dt, kc, out=n), out=n)
+                np.multiply(2.0, kc, out=kc)
+            np.add(a, kc, out=a)
+    for c, a, n in zip(state, acc, new):
+        np.add(c, np.multiply(w, a, out=a), out=n)
+    return new
+
+
+def _lorenz_rates_into(x, y, z, consts, out, tmp):
+    """:func:`lorenz_rates` written into the arrays ``out``; ``tmp`` is scratch."""
+    sigma, r, beta, ryx, rxy, ez, rxyz = consts
+    dx, dy, dz = out
+    np.multiply(sigma, np.subtract(np.multiply(ryx, y, out=dx), x, out=dx), out=dx)
+    np.subtract(r, np.multiply(ez, z, out=tmp), out=tmp)
+    np.subtract(np.multiply(np.multiply(rxy, x, out=dy), tmp, out=dy), y, out=dy)
+    np.multiply(beta, z, out=tmp)
+    np.subtract(np.multiply(np.multiply(rxyz, x, out=dz), y, out=dz), tmp, out=dz)
 
 
 def lorenz_derivative(
@@ -166,6 +213,69 @@ def unscale_state(state: Sequence[float], scaling: ScalingFactors) -> np.ndarray
     """Inverse of :func:`scale_state`."""
     x, y, z = state
     return np.array([x * scaling.eps_x, y * scaling.eps_y, z * scaling.eps_z])
+
+
+def block_rows(dim: int, width: int) -> int:
+    """Samples per block when ``width`` orbits of dimension ``dim`` advance together."""
+    return max(1, min(_BLOCK_ROWS_MAX, _BLOCK_BYTES // (8 * dim * width)))
+
+
+def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_DIVERGENCE_BOUND):
+    """Advance ``width`` orbits ``n_steps`` steps; yield their samples block by block.
+
+    ``state`` is a (dim, width) array, one column per orbit.  ``step(s, work)``
+    maps the components of a state to those of the next one: rk4_step or
+    henon_step with the system's parameters bound.  At width 1 the components
+    are Python floats and ``work`` is None; wider states step in place, with
+    ``work`` a list of WORK_ROWS arrays whose first ``dim`` receive the result.
+
+    Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
+    holds the samples k0 .. k0 + m - 1; the first block is the initial state
+    alone.  ``bad`` is None, or an (m, width) mask of the samples with a
+    component beyond ``bound`` or not finite.  An orbit is dead from its first
+    bad sample on: its columns read 0 from the block where that happened, and
+    it restarts from the origin at every block boundary.  The buffer behind
+    ``samples`` is reused, so a caller must be done with one block before it
+    asks for the next.
+    """
+    dim, width = state.shape
+    yield 0, state[None], None
+    rows = block_rows(dim, width)
+    dead = np.zeros(width, dtype=bool)
+    if width == 1:
+        s = tuple(float(v) for v in state[:, 0])
+    else:
+        block = np.empty((min(rows, max(n_steps, 1)), dim, width))
+        scratch = list(np.empty((WORK_ROWS - dim, width)))
+        works = [list(row) + scratch for row in block]
+        s = list(state)
+    k0 = 1
+    while k0 <= n_steps:
+        m = min(rows, n_steps + 1 - k0)
+        if width == 1:
+            floats = []
+            for _ in range(m):
+                s = step(s, None)
+                floats.append(s)
+            samples = np.array(floats).reshape(m, dim, 1)
+        else:
+            samples = block[:m]
+            # an orbit that leaves the bound mid-block overflows until the
+            # block ends; it is zeroed below
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in range(m):
+                    s = step(s, works[i])
+        bad = None
+        # NaN fails both comparisons
+        if not (samples.max() <= bound and -bound <= samples.min()):
+            bad = ~(np.abs(samples) <= bound).all(axis=1)
+            dead |= bad.any(axis=0)
+        if dead.any():
+            samples[:, :, dead] = 0.0
+            if width == 1:
+                s = (0.0,) * dim
+        yield k0, samples, bad
+        k0 += m
 
 
 def integrate_lorenz(
@@ -195,25 +305,46 @@ def integrate_lorenz(
     """
     consts = rate_constants(params, scaling)
     n_steps = steps_for_horizon(horizon, dt)
-    out = np.empty((n_steps + 1, 3))
-    x, y, z = (float(v) for v in initial)
-    out[0] = (x, y, z)
-    b = divergence_bound
-    for k in range(1, n_steps + 1):
-        x, y, z = rk4_step(x, y, z, dt, consts)
-        # NaN fails every comparison, so this also catches non-finite states.
-        if not (abs(x) <= b and abs(y) <= b and abs(z) <= b):
-            raise DivergenceError(
-                f"state magnitude exceeded {b:g} at t={k * dt:g}", step=k
-            )
-        out[k] = (x, y, z)
+
+    def step(s, work):
+        return rk4_step(s[0], s[1], s[2], dt, consts, work)
+
+    def diverged(k):
+        return DivergenceError(f"state magnitude exceeded {divergence_bound:g} at t={k * dt:g}", step=k)
+
+    out = _collect(step, initial, 3, n_steps, divergence_bound, diverged)
     return Trajectory(dt, out, transient_cutoff_index(n_steps + 1, transient_fraction))
 
 
-def henon_step(state: Sequence[float], params: HenonParams) -> tuple[float, float]:
-    """One application of the map."""
+def _collect(step, initial, dim, n_steps, bound, diverged) -> np.ndarray:
+    """Every sample of one orbit, as an (n_steps + 1, dim) array.
+
+    Raises ``diverged(k)`` for the first step k whose state leaves ``bound``.
+    """
+    state = np.array([float(v) for v in initial]).reshape(dim, 1)
+    out = np.empty((n_steps + 1, dim))
+    for k0, samples, bad in sample_blocks(step, state, n_steps, bound):
+        if bad is not None:
+            raise diverged(k0 + int(np.argmax(bad[:, 0])))
+        out[k0:k0 + samples.shape[0]] = samples[:, :, 0]
+    return out
+
+
+def henon_step(state: Sequence[float], params: HenonParams, work=None) -> tuple[float, float]:
+    """One application of the map.
+
+    With ``work``, a list of WORK_ROWS preallocated arrays shaped like the
+    components, the step runs in place in the same operation order, writes
+    the new state into ``work[0:2]`` and returns those arrays.
+    """
     x, y = state
-    return y + 1.0 - params.gamma * x * x, params.delta * x
+    if work is None:
+        return y + 1.0 - params.gamma * x * x, params.delta * x
+    nx, ny, tmp = work[0:3]
+    np.multiply(np.multiply(params.gamma, x, out=tmp), x, out=tmp)
+    np.subtract(np.add(y, 1.0, out=nx), tmp, out=nx)
+    np.multiply(params.delta, x, out=ny)
+    return nx, ny
 
 
 def iterate_henon(
@@ -227,13 +358,12 @@ def iterate_henon(
     """Iterate the map ``n_steps`` times; returns a Trajectory with dt = 1."""
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
-    out = np.empty((n_steps + 1, 2))
-    x, y = (float(v) for v in initial)
-    out[0] = (x, y)
-    b = divergence_bound
-    for k in range(1, n_steps + 1):
-        x, y = y + 1.0 - params.gamma * x * x, params.delta * x
-        if not (abs(x) <= b and abs(y) <= b):
-            raise DivergenceError(f"state magnitude exceeded {b:g} at step {k}", step=k)
-        out[k] = (x, y)
+
+    def step(s, work):
+        return henon_step(s, params, work)
+
+    def diverged(k):
+        return DivergenceError(f"state magnitude exceeded {divergence_bound:g} at step {k}", step=k)
+
+    out = _collect(step, initial, 2, n_steps, divergence_bound, diverged)
     return Trajectory(1.0, out, transient_cutoff_index(n_steps + 1, transient_fraction))

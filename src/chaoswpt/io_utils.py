@@ -66,10 +66,6 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
-def write_csv_atomic(path: str | Path, header: list[str], rows: list[list]) -> None:
-    write_text_atomic(path, csv_text(header, rows))
-
-
 def trajectory_csv(traj) -> str:
     """Serialize a Trajectory: ``t,x,y,z`` for flows, ``n,x,y`` for maps."""
     samples = traj.samples

@@ -210,6 +210,16 @@ trajectory: {p_in: [10, 10], horizon: 50}
     assert not out.exists() or list(out.iterdir()) == []
 
 
+def test_cli_unwritable_out_dir_exit_code(tmp_path, capsys):
+    # the output directory cannot be created under a regular file
+    (tmp_path / "blocker").write_text("")
+    doc = f"experiment: trajectory\ntrajectory: {{horizon: 1}}\nout_dir: {tmp_path / 'blocker' / 'sub'}\n"
+    assert main(["run", str(_write(tmp_path, doc))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+    assert (tmp_path / "blocker").is_file()
+
+
 def test_cli_seed_and_realizations_override_manifest(tmp_path):
     doc = """
 experiment: sweep

@@ -1,8 +1,11 @@
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+
+from chaoswpt import montecarlo
 
 from chaoswpt.dynamics import (
     HenonParams,
@@ -175,6 +178,67 @@ def test_ensemble_all_diverged():
     assert res.report.eta_empirical is None
     assert res.report.papr_db is None
     assert math.isnan(res.mean_convergence_time)
+
+
+def _assert_identical(a, b):
+    # repr prints each float exactly, NaN as nan, and tells -0.0 from 0.0
+    for f in fields(a):
+        assert repr(getattr(a, f.name)) == repr(getattr(b, f.name)), f.name
+
+
+@pytest.mark.parametrize("system", ["lorenz", "henon"])
+def test_ensemble_independent_of_chunk_width(monkeypatch, system):
+    # chunks of one step as Python floats, wider ones in place as arrays;
+    # a block of 2000 orbits is summed row by row, narrower ones accumulated
+    if system == "lorenz":
+        n = 12
+        cfg = replace(_lorenz_cfg(n=n), ensemble=EnsembleConfig(n_realizations=n, dt=0.01, horizon=30.0))
+    else:
+        n = 2000
+        cfg = _henon_cfg(n=n, params=HenonParams(1.4, 0.3))
+        cfg = replace(cfg, ensemble=replace(cfg.ensemble, init_box=((-2.0, 2.0), (-1.0, 1.0))))
+    results = []
+    for chunk in (1, 7, n):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        results.append(run_ensemble(cfg))
+    if system == "lorenz":
+        assert results[0].fraction_converged > 0
+    else:
+        assert 0 < results[0].n_diverged < n
+    for other in results[1:]:
+        _assert_identical(results[0], other)
+
+
+def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
+    # realizations leave the map's basin at different steps, most of them
+    # inside a block; the engine must drop exactly those, quietly
+    gamma, delta, bound = 1.4, 0.3, 1e6
+    cfg = _henon_cfg(n=300, horizon=150.0, params=HenonParams(gamma, delta))
+    cfg = replace(cfg, ensemble=replace(cfg.ensemble, init_box=((-2.0, 2.0), (-1.0, 1.0))))
+    n_steps = 150
+    cutoff = (n_steps + 1) // 2
+    m2, m4, escapes = [], [], set()
+    for x, y in initial_points(cfg.ensemble, cfg.ensemble.init_box):
+        s2 = s4 = 0.0
+        for k in range(1, n_steps + 1):
+            x, y = y + 1.0 - gamma * x * x, delta * x
+            if not (abs(x) <= bound and abs(y) <= bound):
+                escapes.add(k)
+                break
+            if k >= cutoff:
+                s2 += x * x
+                s4 += x * x * (x * x)
+        else:
+            m2.append(s2 / (n_steps + 1 - cutoff))
+            m4.append(s4 / (n_steps + 1 - cutoff))
+    assert len(escapes) > 3 and 0 < len(m2) < 300
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_ensemble(cfg)
+    assert res.n_diverged == 300 - len(m2)
+    for got, values in ((res.m2_mean, m2), (res.m4_mean, m4)):
+        assert got == float(np.mean(values))
 
 
 def test_ensemble_chaotic_regime(std_params):
