@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,3 +342,94 @@ def test_run_experiment_returns_written_paths(tmp_path):
     paths = run_experiment(cfg)
     assert [p.name for p in paths] == ["trajectory.csv", "manifest.yaml"]
     assert all(p.exists() for p in paths)
+
+
+# One invalid document per field of every block, plus one per rule that ties
+# blocks together, each with the label its problem must start with.
+_INVALID = [
+    ("experiment: warmup", "experiment"),
+    ("out_dir: ''", "out_dir"),
+    ("system: duffing", "system"),
+    ("n_tones: 0", "n_tones"),
+    ("lorenz: {sigma: 0}", "lorenz.sigma"),
+    ("lorenz: {r: -1}", "lorenz.r"),
+    ("lorenz: {beta: -1}", "lorenz.beta"),
+    ("henon: {gamma: 0}", "henon.gamma"),
+    ("henon: {delta: small}", "henon.delta"),
+    ("scaling: {eps_x: 0.5}", "scaling.eps_x"),
+    ("scaling: {eps_y: 0.5}", "scaling.eps_y"),
+    ("scaling: {eps_z: 0.5}", "scaling.eps_z"),
+    ("link: {pt_dbm: loud}", "link.pt_dbm"),
+    ("link: {d_m: 0}", "link.d_m"),
+    ("link: {alpha: -1}", "link.alpha"),
+    ("rectenna: {k2: 0}", "rectenna.k2"),
+    ("rectenna: {k4: -1}", "rectenna.k4"),
+    ("rectenna: {r_ant: 0}", "rectenna.r_ant"),
+    ("fading: {m2: -1}", "fading.m2"),
+    ("fading: {m4: -1}", "fading.m4"),
+    ("fading: {m2: 2, m4: 3.9}", "fading"),
+    ("ensemble: {n_realizations: 0}", "ensemble.n_realizations"),
+    ("ensemble: {seed: -1}", "ensemble.seed"),
+    ("ensemble: {init_box: [[1, 0], [0, 1], [0, 1]]}", "ensemble.init_box"),
+    ("ensemble: {init_box: [[0, 1]]}", "ensemble.init_box"),
+    ("ensemble: {dt: 0}", "ensemble.dt"),
+    ("ensemble: {horizon: -1}", "ensemble.horizon"),
+    ("ensemble: {steady_state_tol: 0}", "ensemble.steady_state_tol"),
+    ("ensemble: {transient_fraction: 1}", "ensemble.transient_fraction"),
+    ("trajectory: {p_in: [1]}", "trajectory.p_in"),
+    ("trajectory: {dt: 0}", "trajectory.dt"),
+    ("trajectory: {horizon: 0}", "trajectory.horizon"),
+    ("scan: {sigma_values: [0]}", "scan.sigma_values"),
+    ("scan: {beta_values: [-1]}", "scan.beta_values"),
+    ("scan: {r_values: []}", "scan.r_values"),
+    ("fig2: {r_values: [-5]}", "fig2.r_values"),
+    ("fig2: {eps_values: [0.5]}", "fig2.eps_values"),
+    ("fig3: {r_values: [0]}", "fig3.r_values"),
+    ("fig3: {eps_values: [0.9]}", "fig3.eps_values"),
+    ("fig3: {sigma_values: [-10]}", "fig3.sigma_values"),
+    ("fig3: {p_in: [1, 2, 3, 4]}", "fig3.p_in"),
+    ("fig3: {n_realizations: 0}", "fig3.n_realizations"),
+    ("fig4: {pt_dbm_values: [loud]}", "fig4.pt_dbm_values"),
+    ("fig4: {lorenz_r_values: [0]}", "fig4.lorenz_r_values"),
+    ("fig4: {henon_params: [[0, 0.1]]}", "fig4.henon_params"),
+    ("fig4: {n_tones_values: [0]}", "fig4.n_tones_values"),
+    ("sweep: {parameter: volume}", "sweep.parameter"),
+    ("sweep: {values: []}", "sweep.values"),
+    # rules across blocks
+    ("trajectory: {p_in: [1, 2]}", "trajectory.p_in"),
+    ("system: henon\ntrajectory: {p_in: [1, 2, 3]}", "trajectory.p_in"),
+    ("system: multisine", "trajectory"),
+    ("experiment: sweep\nsweep: {parameter: gamma, values: [0.1]}", "sweep.parameter"),
+    ("fig3: {p_in: [1, 2]}", "fig3.p_in"),
+]
+
+
+@pytest.mark.parametrize("doc,label", _INVALID)
+def test_each_invalid_field_rejected_under_its_label(doc, label):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(doc)
+    assert any(p.startswith(label) for p in exc.value.problems), exc.value.problems
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "fading: {m2: 1.5, m4: 2.25}",  # m4 == m2^2 exactly
+        f"ensemble: {{seed: {2**64 - 1}}}",
+        "ensemble: {init_box: null}",
+        "ensemble: {transient_fraction: 0}",
+        "fig2: {r_values: null}",  # a null list keeps its default
+    ],
+)
+def test_edge_values_accepted_and_round_trip(doc):
+    cfg = validate_config(doc)
+    text = manifest_text(cfg)
+    assert validate_config(text) == cfg
+    assert manifest_text(validate_config(text)) == text
+
+
+def test_readme_configuration_block_matches_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    assert validate_config(block) == ExperimentConfig()
