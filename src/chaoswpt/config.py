@@ -1,25 +1,27 @@
 """YAML experiment configuration: validation, defaults, manifest echo.
 
-A config document is a mapping with the blocks below; every block and every
-field is optional and falls back to its default, so the empty document is a
-valid config.  Validation collects *all* violations and reports them together
-in a single ConfigError rather than stopping at the first.
+The dataclasses are the schema.  A field's annotation says what the document
+may hold there, the class default is the default (so the empty document is a
+valid config), and the ``__post_init__`` of the class, or of the domain class
+the value feeds, is the only statement of a range rule.  Every violation is
+reported at once, each as ``block.key: <the class's own reason>``.  Rules that
+tie blocks together are checked once the blocks are valid.
 
-Each run writes ``manifest.yaml``, the fully resolved configuration (defaults
-and command-line overrides applied).  Feeding the manifest back in as the
-config reproduces the run.
+Each run writes ``manifest.yaml``, the fully resolved configuration.  Feeding
+the manifest back in as the config reproduces the run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .dynamics import HenonParams, LorenzParams, ScalingFactors
-from .errors import ConfigError
-from .harvest import FadingMoments, LinkBudget, RectennaParams
-from .montecarlo import _SWEEPABLE, EnsembleConfig, SystemConfig
+from .dynamics import STATE_DIM, HenonParams, LorenzParams, ScalingFactors, steps_for_horizon
+from .errors import ChaosWptError, ConfigError
+from .montecarlo import _SWEEPABLE, EnsembleConfig, SystemConfig, initial_box, patched_config
 
 EXPERIMENTS = ("trajectory", "stability-scan", "fig2", "fig3", "fig4", "sweep")
 
@@ -28,47 +30,85 @@ EXPERIMENTS = ("trajectory", "stability-scan", "fig2", "fig3", "fig4", "sweep")
 class TrajectorySpec:
     """Single-orbit experiment: one initial point, one integration."""
 
-    p_in: tuple = (1.0, -5.0, 20.0)
+    p_in: tuple[float, ...] = (1.0, -5.0, 20.0)
     dt: float = 1e-3
     horizon: float = 50.0
+
+    def __post_init__(self):
+        if len(self.p_in) not in STATE_DIM.values():
+            raise ValueError(f"p_in must be a state of the flow or the map, got {list(self.p_in)}")
+        steps_for_horizon(self.horizon, self.dt)
 
 
 @dataclass(frozen=True)
 class ScanSpec:
     """Stability-certificate grid over (sigma, beta, r)."""
 
-    sigma_values: tuple = (10.0,)
-    beta_values: tuple = (8.0 / 3.0,)
-    r_values: tuple = (5.0, 10.0, 15.0, 20.0, 24.7, 24.8, 30.0)
+    sigma_values: tuple[float, ...] = (10.0,)
+    beta_values: tuple[float, ...] = (8.0 / 3.0,)
+    r_values: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0, 24.7, 24.8, 30.0)
+
+    def __post_init__(self):
+        for sigma in self.sigma_values:
+            LorenzParams(sigma=sigma)
+        for beta in self.beta_values:
+            LorenzParams(beta=beta)
+        for r in self.r_values:
+            LorenzParams(r=r)
 
 
 @dataclass(frozen=True)
 class Fig2Spec:
     """DC-versus-r curves, one per scaling factor, analytic next to measured."""
 
-    r_values: tuple = (5.0, 10.0, 15.0, 20.0)
-    eps_values: tuple = (1.0, 2.0, 6.0)
+    r_values: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0)
+    eps_values: tuple[float, ...] = (1.0, 2.0, 6.0)
+
+    def __post_init__(self):
+        for r in self.r_values:
+            LorenzParams(r=r)
+        for eps in self.eps_values:
+            ScalingFactors(eps, eps, eps)
 
 
 @dataclass(frozen=True)
 class Fig3Spec:
     """PAPR-versus-r curves in the chaotic band, one file per (sigma, eps)."""
 
-    r_values: tuple = (26.0, 28.0, 30.0, 32.0, 34.0, 36.0, 38.0, 40.0)
-    eps_values: tuple = (1.0, 6.0)
-    sigma_values: tuple = (10.0, 14.0)
-    p_in: tuple = (0.1, 10.0, 0.1)
+    r_values: tuple[float, ...] = (26.0, 28.0, 30.0, 32.0, 34.0, 36.0, 38.0, 40.0)
+    eps_values: tuple[float, ...] = (1.0, 6.0)
+    sigma_values: tuple[float, ...] = (10.0, 14.0)
+    p_in: tuple[float, ...] = (0.1, 10.0, 0.1)
     n_realizations: int = 1
+
+    def __post_init__(self):
+        for r in self.r_values:
+            LorenzParams(r=r)
+        for eps in self.eps_values:
+            ScalingFactors(eps, eps, eps)
+        for sigma in self.sigma_values:
+            LorenzParams(sigma=sigma)
+        if len(self.p_in) != STATE_DIM["lorenz"]:
+            raise ValueError(f"p_in must be a state of the flow, got {list(self.p_in)}")
+        EnsembleConfig(n_realizations=self.n_realizations)
 
 
 @dataclass(frozen=True)
 class Fig4Spec:
     """Harvested DC versus transmit power for all three waveform families."""
 
-    pt_dbm_values: tuple = (10.0, 15.0, 20.0, 25.0, 30.0)
-    lorenz_r_values: tuple = (12.0,)
-    henon_params: tuple = ((0.2, 0.1), (0.001, 0.9))
-    n_tones_values: tuple = (1, 2, 4, 8)
+    pt_dbm_values: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0)
+    lorenz_r_values: tuple[float, ...] = (12.0,)
+    henon_params: tuple[tuple[float, float], ...] = ((0.2, 0.1), (0.001, 0.9))
+    n_tones_values: tuple[int, ...] = (1, 2, 4, 8)
+
+    def __post_init__(self):
+        for r in self.lorenz_r_values:
+            LorenzParams(r=r)
+        for gamma, delta in self.henon_params:
+            HenonParams(gamma, delta)
+        for n in self.n_tones_values:
+            SystemConfig(n_tones=n)
 
 
 @dataclass(frozen=True)
@@ -76,14 +116,20 @@ class SweepSettings:
     """Generic one-parameter sweep of the configured system."""
 
     parameter: str = "r"
-    values: tuple = (5.0, 10.0, 15.0, 20.0)
+    values: tuple[float, ...] = (5.0, 10.0, 15.0, 20.0)
+
+    def __post_init__(self):
+        if self.parameter not in _SWEEPABLE:
+            raise ValueError(f"parameter must be one of {', '.join(sorted(_SWEEPABLE))}, got {self.parameter!r}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run: the experiment, its output directory, and every block it reads."""
+
     experiment: str = "trajectory"
     out_dir: str = "results"
-    base: SystemConfig = SystemConfig()
+    base: SystemConfig = field(default=SystemConfig(), metadata={"flatten": True})
     trajectory: TrajectorySpec = TrajectorySpec()
     scan: ScanSpec = ScanSpec()
     fig2: Fig2Spec = Fig2Spec()
@@ -91,287 +137,121 @@ class ExperimentConfig:
     fig4: Fig4Spec = Fig4Spec()
     sweep: SweepSettings = SweepSettings()
 
-
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-class _Checker:
-    """Accumulates violation messages while pulling typed fields out of a doc."""
-
-    def __init__(self):
-        self.problems: list[str] = []
-
-    def complain(self, msg: str) -> None:
-        self.problems.append(msg)
-
-    def block(self, doc: dict, key: str, known: tuple[str, ...]) -> dict:
-        raw = doc.get(key)
-        if raw is None:
-            return {}
-        if not isinstance(raw, dict):
-            self.complain(f"{key}: must be a mapping")
-            return {}
-        for k in raw:
-            if k not in known:
-                self.complain(f"{key}: unknown key {k!r}")
-        return raw
-
-    @staticmethod
-    def _label(block_name: str, key: str) -> str:
-        return f"{block_name}.{key}" if block_name else key
-
-    def num(self, blk: dict, block_name: str, key: str, default, pred=None, desc: str = ""):
-        v = blk.get(key, default)
-        if not _is_num(v):
-            self.complain(f"{self._label(block_name, key)}: must be a number")
-            return default
-        if pred is not None and not pred(v):
-            self.complain(f"{self._label(block_name, key)}: {desc}, got {v!r}")
-            return default
-        return v
-
-    def integer(self, blk: dict, block_name: str, key: str, default, pred=None, desc: str = ""):
-        v = blk.get(key, default)
-        if not isinstance(v, int) or isinstance(v, bool):
-            self.complain(f"{self._label(block_name, key)}: must be an integer")
-            return default
-        if pred is not None and not pred(v):
-            self.complain(f"{self._label(block_name, key)}: {desc}, got {v!r}")
-            return default
-        return v
-
-    def num_list(self, blk: dict, block_name: str, key: str, default, pred=None, desc: str = ""):
-        v = blk.get(key)
-        if v is None:
-            return tuple(default)
-        if not isinstance(v, (list, tuple)) or not v or not all(_is_num(x) for x in v):
-            self.complain(f"{self._label(block_name, key)}: must be a non-empty list of numbers")
-            return tuple(default)
-        if pred is not None:
-            for x in v:
-                if not pred(x):
-                    self.complain(f"{self._label(block_name, key)}: {desc}, got {x!r}")
-                    return tuple(default)
-        return tuple(v)
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}")
+        if not self.out_dir:
+            raise ValueError("out_dir must be a non-empty path")
 
 
-def _parse_point(ck: _Checker, blk: dict, block_name: str, key: str, default: tuple) -> tuple:
-    v = blk.get(key)
-    if v is None:
-        return default
-    if (
-        not isinstance(v, (list, tuple))
-        or len(v) not in (2, 3)
-        or not all(_is_num(x) for x in v)
-    ):
-        ck.complain(f"{block_name}.{key}: must be a list of 2 or 3 numbers")
-        return default
-    return tuple(v)
+#: stands in for a value that failed its check while parsing goes on
+_BAD = object()
+#: what a class raises for a value it rejects
+_REJECTED = (ValueError, ChaosWptError)
+_NOUNS = {float: "a number", int: "an integer", str: "a string"}
+_hints = functools.cache(typing.get_type_hints)
 
 
-def config_from_document(doc: dict) -> ExperimentConfig:
-    """Build a fully-resolved config from a parsed YAML document."""
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(["document must be a mapping"])
-    ck = _Checker()
+def _join(label: str, key: str) -> str:
+    return f"{label}.{key}" if label else key
 
-    known_top = (
-        "experiment", "out_dir", "system", "lorenz", "henon", "scaling", "link",
-        "rectenna", "fading", "ensemble", "n_tones", "trajectory", "scan",
-        "fig2", "fig3", "fig4", "sweep",
-    )
-    for k in doc:
-        if k not in known_top:
-            ck.complain(f"unknown key {k!r}")
 
-    experiment = doc.get("experiment", "trajectory")
-    if experiment not in EXPERIMENTS:
-        ck.complain(f"experiment: must be one of {', '.join(EXPERIMENTS)}, got {experiment!r}")
-        experiment = "trajectory"
-    out_dir = doc.get("out_dir", "results")
-    if not isinstance(out_dir, str) or not out_dir:
-        ck.complain("out_dir: must be a non-empty string")
-        out_dir = "results"
-    system = doc.get("system", "lorenz")
-    if system not in ("lorenz", "henon", "multisine"):
-        ck.complain(f"system: must be lorenz, henon or multisine, got {system!r}")
-        system = "lorenz"
+def _say(label: str, message) -> str:
+    return f"{label}: {message}" if label else str(message)
 
-    blk = ck.block(doc, "lorenz", ("sigma", "r", "beta"))
-    pos = lambda x: x > 0
-    lorenz = LorenzParams(
-        sigma=ck.num(blk, "lorenz", "sigma", 10.0, pos, "must be > 0"),
-        r=ck.num(blk, "lorenz", "r", 12.0, pos, "must be > 0"),
-        beta=ck.num(blk, "lorenz", "beta", 8.0 / 3.0, pos, "must be > 0"),
-    )
 
-    blk = ck.block(doc, "henon", ("gamma", "delta"))
-    henon = HenonParams(
-        gamma=ck.num(blk, "henon", "gamma", 0.2, lambda x: x != 0, "must be nonzero"),
-        delta=ck.num(blk, "henon", "delta", 0.1),
-    )
+def _reason(build, *args, **kwargs):
+    """What ``build`` raises for these arguments, or None if it accepts them."""
+    try:
+        build(*args, **kwargs)
+    except _REJECTED as exc:
+        return exc
+    return None
 
-    blk = ck.block(doc, "scaling", ("eps_x", "eps_y", "eps_z"))
-    ge1 = lambda x: x >= 1
-    scaling = ScalingFactors(
-        eps_x=ck.num(blk, "scaling", "eps_x", 1.0, ge1, "must be >= 1"),
-        eps_y=ck.num(blk, "scaling", "eps_y", 1.0, ge1, "must be >= 1"),
-        eps_z=ck.num(blk, "scaling", "eps_z", 1.0, ge1, "must be >= 1"),
-    )
 
-    blk = ck.block(doc, "link", ("pt_dbm", "d_m", "alpha"))
-    link = LinkBudget(
-        pt_dbm=ck.num(blk, "link", "pt_dbm", 30.0),
-        d_m=ck.num(blk, "link", "d_m", 20.0, pos, "must be > 0"),
-        alpha=ck.num(blk, "link", "alpha", 4.0, lambda x: x >= 0, "must be >= 0"),
-    )
-
-    blk = ck.block(doc, "rectenna", ("k2", "k4", "r_ant"))
-    rectenna = RectennaParams(
-        k2=ck.num(blk, "rectenna", "k2", 0.0034, pos, "must be > 0"),
-        k4=ck.num(blk, "rectenna", "k4", 0.3829, pos, "must be > 0"),
-        r_ant=ck.num(blk, "rectenna", "r_ant", 50.0, pos, "must be > 0"),
-    )
-
-    blk = ck.block(doc, "fading", ("m2", "m4"))
-    f_m2 = ck.num(blk, "fading", "m2", 1.0, lambda x: x >= 0, "must be >= 0")
-    f_m4 = ck.num(blk, "fading", "m4", 1.0, lambda x: x >= 0, "must be >= 0")
-    if f_m4 < f_m2 * f_m2 * (1.0 - 1e-9):
-        ck.complain(f"fading: m4 must be >= m2^2, got m2={f_m2!r}, m4={f_m4!r}")
-        f_m2, f_m4 = 1.0, 1.0
-    fading = FadingMoments(m2=f_m2, m4=f_m4)
-
-    blk = ck.block(
-        doc, "ensemble",
-        ("n_realizations", "seed", "init_box", "dt", "horizon",
-         "steady_state_tol", "transient_fraction"),
-    )
-    init_box = blk.get("init_box")
-    if init_box is not None:
-        bad = (
-            not isinstance(init_box, (list, tuple))
-            or len(init_box) not in (2, 3)
-            or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2
-                and all(_is_num(b) for b in p) and p[0] <= p[1]
-                for p in init_box
-            )
-        )
-        if bad:
-            ck.complain("ensemble.init_box: must be 2 or 3 [low, high] pairs with low <= high")
-            init_box = None
-        else:
-            init_box = tuple(tuple(p) for p in init_box)
-    ensemble = EnsembleConfig(
-        n_realizations=ck.integer(blk, "ensemble", "n_realizations", 1000, lambda x: x >= 1, "must be >= 1"),
-        seed=ck.integer(blk, "ensemble", "seed", 1, lambda x: 0 <= x < 2**64, "must fit in uint64"),
-        init_box=init_box,
-        dt=ck.num(blk, "ensemble", "dt", 1e-3, pos, "must be > 0"),
-        horizon=ck.num(blk, "ensemble", "horizon", 100.0, pos, "must be > 0"),
-        steady_state_tol=ck.num(blk, "ensemble", "steady_state_tol", 1e-3, pos, "must be > 0"),
-        transient_fraction=ck.num(blk, "ensemble", "transient_fraction", 0.5, lambda x: 0 <= x < 1, "must be in [0, 1)"),
-    )
-
-    n_tones = ck.integer({"n_tones": doc.get("n_tones", 4)}, "", "n_tones", 4, lambda x: x >= 1, "must be >= 1")
-
-    blk = ck.block(doc, "trajectory", ("p_in", "dt", "horizon"))
-    trajectory = TrajectorySpec(
-        p_in=_parse_point(ck, blk, "trajectory", "p_in", (1.0, -5.0, 20.0)),
-        dt=ck.num(blk, "trajectory", "dt", 1e-3, pos, "must be > 0"),
-        horizon=ck.num(blk, "trajectory", "horizon", 50.0, pos, "must be > 0"),
-    )
-    if experiment == "trajectory":
-        if system == "multisine":
-            ck.complain("trajectory experiment requires system lorenz or henon")
-        else:
-            want = 3 if system == "lorenz" else 2
-            if len(trajectory.p_in) != want:
-                ck.complain(f"trajectory.p_in: needs {want} components for system {system!r}")
-
-    blk = ck.block(doc, "scan", ("sigma_values", "beta_values", "r_values"))
-    scan = ScanSpec(
-        sigma_values=ck.num_list(blk, "scan", "sigma_values", ScanSpec.sigma_values, pos, "values must be > 0"),
-        beta_values=ck.num_list(blk, "scan", "beta_values", ScanSpec.beta_values, pos, "values must be > 0"),
-        r_values=ck.num_list(blk, "scan", "r_values", ScanSpec.r_values, pos, "values must be > 0"),
-    )
-
-    blk = ck.block(doc, "fig2", ("r_values", "eps_values"))
-    fig2 = Fig2Spec(
-        r_values=ck.num_list(blk, "fig2", "r_values", Fig2Spec.r_values, pos, "values must be > 0"),
-        eps_values=ck.num_list(blk, "fig2", "eps_values", Fig2Spec.eps_values, ge1, "values must be >= 1"),
-    )
-
-    blk = ck.block(doc, "fig3", ("r_values", "eps_values", "sigma_values", "p_in", "n_realizations"))
-    fig3 = Fig3Spec(
-        r_values=ck.num_list(blk, "fig3", "r_values", Fig3Spec.r_values, pos, "values must be > 0"),
-        eps_values=ck.num_list(blk, "fig3", "eps_values", Fig3Spec.eps_values, ge1, "values must be >= 1"),
-        sigma_values=ck.num_list(blk, "fig3", "sigma_values", Fig3Spec.sigma_values, pos, "values must be > 0"),
-        p_in=_parse_point(ck, blk, "fig3", "p_in", Fig3Spec.p_in),
-        n_realizations=ck.integer(blk, "fig3", "n_realizations", 1, lambda x: x >= 1, "must be >= 1"),
-    )
-    if len(fig3.p_in) != 3:
-        ck.complain("fig3.p_in: needs 3 components")
-
-    blk = ck.block(doc, "fig4", ("pt_dbm_values", "lorenz_r_values", "henon_params", "n_tones_values"))
-    henon_params = blk.get("henon_params")
-    if henon_params is None:
-        henon_params = Fig4Spec.henon_params
+def _parse(cls, raw, label: str, problems: list[str]):
+    """``cls`` built from the mapping ``raw``, or _BAD once its problems are recorded."""
+    if not isinstance(raw, dict):
+        problems.append(_say(label, "must be a mapping"))
+        return _BAD
+    hints, kwargs, known = _hints(cls), {}, set()
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.metadata.get("flatten"):
+            sub = {k: v for k, v in raw.items() if k in _hints(hint)}
+            known.update(sub)
+            kwargs[f.name] = _parse(hint, sub, label, problems)
+            continue
+        known.add(f.name)
+        value = raw.get(f.name)
+        # a missing key, or a null block or list, keeps the class default
+        if value is None and (f.name not in raw or is_dataclass(hint) or typing.get_origin(hint) is tuple):
+            continue
+        kwargs[f.name] = _convert(hint, value, _join(label, f.name), problems)
+    problems.extend(_say(label, f"unknown key {k!r}") for k in raw if k not in known)
+    if _BAD in kwargs.values():
+        return _BAD
+    try:
+        return cls(**kwargs)
+    except _REJECTED as exc:
+        whole = exc
+    # blame each key the class also rejects alone on the defaults; one such key,
+    # or none (a rule only the combination breaks), gets the whole block's reason
+    alone = {key: _reason(cls, **{key: value}) for key, value in kwargs.items()}
+    blamed = [key for key, exc in alone.items() if exc is not None]
+    if len(blamed) > 1:
+        problems.extend(f"{_join(label, key)}: {alone[key]}" for key in blamed)
     else:
-        bad = (
-            not isinstance(henon_params, (list, tuple)) or not henon_params
-            or not all(
-                isinstance(p, (list, tuple)) and len(p) == 2
-                and all(_is_num(v) for v in p) and p[0] != 0
-                for p in henon_params
-            )
+        problems.append(_say(_join(label, *blamed) if blamed else label, whole))
+    return _BAD
+
+
+def _convert(hint, raw, label: str, problems: list[str]):
+    """``raw`` checked against the annotation ``hint``, or _BAD once a problem is recorded."""
+    if is_dataclass(hint):
+        return _parse(hint, raw, label, problems)
+    args = typing.get_args(hint)
+    if type(None) in args:  # ``X | None``
+        return None if raw is None else _convert(args[0], raw, label, problems)
+    if typing.get_origin(hint) is tuple:
+        variadic = args[-1] is Ellipsis
+        if not isinstance(raw, (list, tuple)) or not raw or not (variadic or len(raw) == len(args)):
+            want = "a non-empty list" if variadic else f"a list of {len(args)}"
+            problems.append(f"{label}: must be {want}")
+            return _BAD
+        items = tuple(
+            _convert(args[0 if variadic else i], v, f"{label}[{i}]", problems) for i, v in enumerate(raw)
         )
-        if bad:
-            ck.complain("fig4.henon_params: must be a non-empty list of [gamma, delta] pairs, gamma != 0")
-            henon_params = Fig4Spec.henon_params
+        return _BAD if _BAD in items else items
+    if isinstance(raw, bool) or not isinstance(raw, (int, float) if hint is float else hint):
+        problems.append(f"{label}: must be {_NOUNS[hint]}")
+        return _BAD
+    return raw
+
+
+def _cross_block(cfg: ExperimentConfig) -> list[str]:
+    """Violations of the rules that tie blocks together, for the chosen experiment."""
+    base, problems = cfg.base, []
+    if cfg.experiment == "trajectory":
+        dim = STATE_DIM.get(base.system)
+        if dim is None:
+            problems.append(f"trajectory: needs system {' or '.join(STATE_DIM)}, got {base.system!r}")
+        elif len(cfg.trajectory.p_in) != dim:
+            problems.append(f"trajectory.p_in: needs {dim} components for system {base.system!r}")
+    elif cfg.experiment == "sweep":
+        parameter = cfg.sweep.parameter
+        if base.system not in _SWEEPABLE[parameter]:
+            problems.append(f"sweep.parameter: {parameter!r} does not apply to system {base.system!r}")
         else:
-            henon_params = tuple(tuple(p) for p in henon_params)
-    n_tones_values = blk.get("n_tones_values")
-    if n_tones_values is None:
-        n_tones_values = Fig4Spec.n_tones_values
-    elif (
-        not isinstance(n_tones_values, (list, tuple)) or not n_tones_values
-        or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in n_tones_values)
-    ):
-        ck.complain("fig4.n_tones_values: must be a non-empty list of integers >= 1")
-        n_tones_values = Fig4Spec.n_tones_values
-    else:
-        n_tones_values = tuple(n_tones_values)
-    fig4 = Fig4Spec(
-        pt_dbm_values=ck.num_list(blk, "fig4", "pt_dbm_values", Fig4Spec.pt_dbm_values),
-        lorenz_r_values=ck.num_list(blk, "fig4", "lorenz_r_values", Fig4Spec.lorenz_r_values, pos, "values must be > 0"),
-        henon_params=henon_params,
-        n_tones_values=n_tones_values,
-    )
-
-    blk = ck.block(doc, "sweep", ("parameter", "values"))
-    parameter = blk.get("parameter", "r")
-    if parameter not in _SWEEPABLE:
-        ck.complain(f"sweep.parameter: must be one of {', '.join(sorted(_SWEEPABLE))}, got {parameter!r}")
-        parameter = "r"
-    sweep_values = ck.num_list(blk, "sweep", "values", SweepSettings.values)
-    if experiment == "sweep" and system not in _SWEEPABLE.get(parameter, ()):
-        ck.complain(f"sweep.parameter: {parameter!r} does not apply to system {system!r}")
-
-    if ck.problems:
-        raise ConfigError(ck.problems)
-
-    base = SystemConfig(
-        system=system, lorenz=lorenz, henon=henon, scaling=scaling, link=link,
-        rectenna=rectenna, fading=fading, ensemble=ensemble, n_tones=n_tones,
-    )
-    return ExperimentConfig(
-        experiment=experiment, out_dir=out_dir, base=base, trajectory=trajectory,
-        scan=scan, fig2=fig2, fig3=fig3, fig4=fig4,
-        sweep=SweepSettings(parameter=parameter, values=sweep_values),
-    )
+            for value in cfg.sweep.values:
+                if exc := _reason(patched_config, base, parameter, value):
+                    problems.append(f"sweep.values: {exc}")
+    # the systems whose ensembles draw from ensemble.init_box
+    systems = {"fig2": ("lorenz",), "fig4": ("lorenz", "henon"), "sweep": (base.system,)}
+    for system in systems.get(cfg.experiment, ()):
+        if system in STATE_DIM and (exc := _reason(initial_box, replace(base, system=system))):
+            problems.append(f"ensemble.init_box: {exc}")
+    return problems
 
 
 def validate_config(text: str) -> ExperimentConfig:
@@ -380,7 +260,15 @@ def validate_config(text: str) -> ExperimentConfig:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError([f"not valid YAML: {exc}"]) from exc
-    return config_from_document(doc)
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise ConfigError(["document must be a mapping"])
+    problems: list[str] = []
+    cfg = _parse(ExperimentConfig, doc, "", problems)
+    problems = problems or _cross_block(cfg)
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:
@@ -388,51 +276,17 @@ def load_config(path) -> ExperimentConfig:
         return validate_config(fh.read())
 
 
-def to_document(cfg: ExperimentConfig) -> dict:
+def to_document(cfg):
     """Fully-resolved plain-python echo of a config (the manifest content)."""
-    b = cfg.base
-    return {
-        "experiment": cfg.experiment,
-        "out_dir": cfg.out_dir,
-        "system": b.system,
-        "lorenz": {"sigma": b.lorenz.sigma, "r": b.lorenz.r, "beta": b.lorenz.beta},
-        "henon": {"gamma": b.henon.gamma, "delta": b.henon.delta},
-        "scaling": {"eps_x": b.scaling.eps_x, "eps_y": b.scaling.eps_y, "eps_z": b.scaling.eps_z},
-        "link": {"pt_dbm": b.link.pt_dbm, "d_m": b.link.d_m, "alpha": b.link.alpha},
-        "rectenna": {"k2": b.rectenna.k2, "k4": b.rectenna.k4, "r_ant": b.rectenna.r_ant},
-        "fading": {"m2": b.fading.m2, "m4": b.fading.m4},
-        "ensemble": {
-            "n_realizations": b.ensemble.n_realizations,
-            "seed": b.ensemble.seed,
-            "init_box": None if b.ensemble.init_box is None else [list(p) for p in b.ensemble.init_box],
-            "dt": b.ensemble.dt,
-            "horizon": b.ensemble.horizon,
-            "steady_state_tol": b.ensemble.steady_state_tol,
-            "transient_fraction": b.ensemble.transient_fraction,
-        },
-        "n_tones": b.n_tones,
-        "trajectory": {"p_in": list(cfg.trajectory.p_in), "dt": cfg.trajectory.dt, "horizon": cfg.trajectory.horizon},
-        "scan": {
-            "sigma_values": list(cfg.scan.sigma_values),
-            "beta_values": list(cfg.scan.beta_values),
-            "r_values": list(cfg.scan.r_values),
-        },
-        "fig2": {"r_values": list(cfg.fig2.r_values), "eps_values": list(cfg.fig2.eps_values)},
-        "fig3": {
-            "r_values": list(cfg.fig3.r_values),
-            "eps_values": list(cfg.fig3.eps_values),
-            "sigma_values": list(cfg.fig3.sigma_values),
-            "p_in": list(cfg.fig3.p_in),
-            "n_realizations": cfg.fig3.n_realizations,
-        },
-        "fig4": {
-            "pt_dbm_values": list(cfg.fig4.pt_dbm_values),
-            "lorenz_r_values": list(cfg.fig4.lorenz_r_values),
-            "henon_params": [list(p) for p in cfg.fig4.henon_params],
-            "n_tones_values": list(cfg.fig4.n_tones_values),
-        },
-        "sweep": {"parameter": cfg.sweep.parameter, "values": list(cfg.sweep.values)},
-    }
+    if isinstance(cfg, tuple):
+        return [to_document(v) for v in cfg]
+    if not is_dataclass(cfg):
+        return cfg
+    doc = {}
+    for f in fields(cfg):
+        value = to_document(getattr(cfg, f.name))
+        doc.update(value if f.metadata.get("flatten") else {f.name: value})
+    return doc
 
 
 def manifest_text(cfg: ExperimentConfig) -> str:
@@ -445,21 +299,22 @@ def apply_overrides(
     out_dir: str | None = None,
     n_realizations: int | None = None,
 ) -> ExperimentConfig:
-    """Fold command-line overrides into a validated config."""
-    if seed is not None:
-        if not 0 <= seed < 2**64:
-            raise ConfigError(["--seed: must fit in an unsigned 64-bit integer"])
-        cfg = replace(cfg, base=replace(cfg.base, ensemble=replace(cfg.base.ensemble, seed=seed)))
-    if n_realizations is not None:
-        if n_realizations < 1:
-            raise ConfigError(["--realizations: must be >= 1"])
-        cfg = replace(
-            cfg,
-            base=replace(cfg.base, ensemble=replace(cfg.base.ensemble, n_realizations=n_realizations)),
-            fig3=replace(cfg.fig3, n_realizations=n_realizations),
-        )
-    if out_dir is not None:
-        if not out_dir:
-            raise ConfigError(["--out: must be a non-empty path"])
-        cfg = replace(cfg, out_dir=out_dir)
+    """Fold command-line overrides into a validated config.
+
+    A value the config's own classes reject is reported under its flag.
+    """
+    flag = "--seed"
+    try:
+        if seed is not None:
+            cfg = replace(cfg, base=replace(cfg.base, ensemble=replace(cfg.base.ensemble, seed=seed)))
+        flag = "--realizations"
+        if n_realizations is not None:
+            ensemble = replace(cfg.base.ensemble, n_realizations=n_realizations)
+            fig3 = replace(cfg.fig3, n_realizations=n_realizations)
+            cfg = replace(cfg, base=replace(cfg.base, ensemble=ensemble), fig3=fig3)
+        flag = "--out"
+        if out_dir is not None:
+            cfg = replace(cfg, out_dir=out_dir)
+    except ValueError as exc:
+        raise ConfigError([f"{flag}: {exc}"]) from None
     return cfg

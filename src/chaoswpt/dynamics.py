@@ -33,6 +33,9 @@ DEFAULT_DT = 1e-3
 DEFAULT_DIVERGENCE_BOUND = 1e6
 DEFAULT_TRANSIENT_FRACTION = 0.5
 
+#: state components of each source
+STATE_DIM = {"lorenz": 3, "henon": 2}
+
 #: length of the ``work`` list of the in-place steps: the new state's
 #: components first, then scratch
 WORK_ROWS = 10
@@ -78,7 +81,7 @@ class ScalingFactors:
     eps_z: float = 1.0
 
     def __post_init__(self):
-        if min(self.eps_x, self.eps_y, self.eps_z) < 1.0:
+        if not all(eps >= 1.0 for eps in (self.eps_x, self.eps_y, self.eps_z)):
             raise ValueError("scaling factors must be >= 1")
 
 
@@ -117,8 +120,8 @@ def transient_cutoff_index(n_samples: int, fraction: float = DEFAULT_TRANSIENT_F
 
 def steps_for_horizon(horizon: float, dt: float) -> int:
     """Number of integration steps covering ``horizon`` time units."""
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("dt and horizon must be positive")
+    if not (dt > 0 and horizon > 0 and math.isfinite(horizon / dt)):
+        raise ValueError(f"dt and horizon must be positive with a finite ratio, got {dt:g} and {horizon:g}")
     return int(math.floor(horizon / dt + 1e-9))
 
 
@@ -312,7 +315,7 @@ def integrate_lorenz(
     def diverged(k):
         return DivergenceError(f"state magnitude exceeded {divergence_bound:g} at t={k * dt:g}", step=k)
 
-    out = _collect(step, initial, 3, n_steps, divergence_bound, diverged)
+    out = _collect(step, initial, STATE_DIM["lorenz"], n_steps, divergence_bound, diverged)
     return Trajectory(dt, out, transient_cutoff_index(n_steps + 1, transient_fraction))
 
 
@@ -365,5 +368,5 @@ def iterate_henon(
     def diverged(k):
         return DivergenceError(f"state magnitude exceeded {divergence_bound:g} at step {k}", step=k)
 
-    out = _collect(step, initial, 2, n_steps, divergence_bound, diverged)
+    out = _collect(step, initial, STATE_DIM["henon"], n_steps, divergence_bound, diverged)
     return Trajectory(1.0, out, transient_cutoff_index(n_steps + 1, transient_fraction))

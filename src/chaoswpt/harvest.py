@@ -50,9 +50,9 @@ class LinkBudget:
     alpha: float = 4.0
 
     def __post_init__(self):
-        if self.d_m <= 0:
+        if not self.d_m > 0:
             raise ValueError("distance must be positive")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("path-loss exponent must be >= 0")
 
     @property
@@ -73,7 +73,7 @@ class RectennaParams:
     r_ant: float = 50.0
 
     def __post_init__(self):
-        if min(self.k2, self.k4, self.r_ant) <= 0:
+        if not all(v > 0 for v in (self.k2, self.k4, self.r_ant)):
             raise ValueError("k2, k4, r_ant must all be positive")
 
 
@@ -97,7 +97,7 @@ class FadingMoments:
     m4: float = 1.0
 
     def __post_init__(self):
-        if self.m2 < 0 or self.m4 < 0:
+        if not (self.m2 >= 0 and self.m4 >= 0):
             raise ValueError("channel moments must be non-negative")
         if self.m4 < self.m2 * self.m2 * (1.0 - _MOMENT_SLACK):
             raise MomentInconsistencyError(

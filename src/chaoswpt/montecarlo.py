@@ -27,6 +27,7 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
+    STATE_DIM,
     HenonParams,
     LorenzParams,
     ScalingFactors,
@@ -85,13 +86,14 @@ class EnsembleConfig:
             raise ValueError("n_realizations must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.dt <= 0 or self.horizon <= 0:
-            raise ValueError("dt and horizon must be positive")
-        if self.steady_state_tol <= 0:
+        steps_for_horizon(self.horizon, self.dt)
+        if not self.steady_state_tol > 0:
             raise ValueError("steady_state_tol must be positive")
         if not 0.0 <= self.transient_fraction < 1.0:
             raise ValueError("transient_fraction must be in [0, 1)")
         if self.init_box is not None:
+            if len(self.init_box) not in STATE_DIM.values():
+                raise ValueError(f"init_box must have 2 (map) or 3 (flow) pairs, got {len(self.init_box)}")
             for lo, hi in self.init_box:
                 if not lo <= hi:
                     raise ValueError(f"init_box bounds out of order: ({lo:g}, {hi:g})")
@@ -164,6 +166,15 @@ def initial_points(cfg: EnsembleConfig, box: tuple[tuple[float, float], ...]) ->
     return pts
 
 
+def initial_box(config: SystemConfig) -> tuple[tuple[float, float], ...]:
+    """The box an ensemble of ``config.system`` draws its initial points from."""
+    box = config.ensemble.init_box or (LORENZ_INIT_BOX if config.system == "lorenz" else HENON_INIT_BOX)
+    dim = STATE_DIM[config.system]
+    if len(box) != dim:
+        raise ValueError(f"init_box must have {dim} (low, high) pairs for {config.system}")
+    return box
+
+
 def _first_quiet_index(samples: np.ndarray, tol: float) -> int | None:
     """First row from which every component's remaining excursion is <= tol.
 
@@ -190,24 +201,24 @@ def detect_steady_state(traj: Trajectory, tol: float = 1e-3) -> int | None:
     return _first_quiet_index(traj.samples, tol)
 
 
-def _run_batched(config: SystemConfig) -> EnsembleResult:
-    """Shared ensemble engine for the flow and the map."""
+def run_ensemble(config: SystemConfig) -> EnsembleResult:
+    """Integrate one ensemble and compare measured moments with the closed form."""
+    if config.system not in STATE_DIM:
+        raise ValueError(f"run_ensemble applies to lorenz/henon, not {config.system!r}")
     ens = config.ensemble
+    box = initial_box(config)
+    dim = len(box)
     if config.system == "lorenz":
-        dim, dt = 3, ens.dt
+        dt = ens.dt
         n_steps = steps_for_horizon(ens.horizon, ens.dt)
-        box = ens.init_box if ens.init_box is not None else LORENZ_INIT_BOX
         verdict = hurwitz_stable(config.lorenz)
         consts = rate_constants(config.lorenz, config.scaling)
         stride = max(1, int(round(_DETECTION_SPACING / dt)))
     else:
-        dim, dt = 2, 1.0
+        dt = 1.0
         n_steps = int(math.floor(ens.horizon))
-        box = ens.init_box if ens.init_box is not None else HENON_INIT_BOX
         verdict = henon_stable(config.henon)
         stride = 1
-    if len(box) != dim:
-        raise ValueError(f"init_box must have {dim} (low, high) pairs for {config.system}")
 
     n_samples = n_steps + 1
     cutoff = transient_cutoff_index(n_samples, ens.transient_fraction)
@@ -318,27 +329,11 @@ def _aggregate(config, stable, ok, m2, m4, papr_db, converged, conv_time) -> Ens
     papr_ok = papr_db[ok & np.isfinite(papr_db)]
     papr_mean, papr_se = _mean_stderr(papr_ok)
 
-    coeff = with_fading(coefficients(config.link, config.rectenna), config.fading)
-    if stable:
-        if config.system == "lorenz":
-            eta_analytic = eta_scaled_lorenz(config.lorenz, config.scaling, coeff)
-        else:
-            eta_analytic = eta_henon(config.henon, coeff)
-    else:
-        eta_analytic = None
-    eta_empirical = (
-        dc_from_moments(m2_mean, m4_mean, coeff) if math.isfinite(m2_mean) else None
-    )
-    report = HarvestReport(
-        eta_analytic=eta_analytic,
-        eta_empirical=eta_empirical,
-        papr_db=papr_mean if math.isfinite(papr_mean) else None,
-        stable=stable,
-    )
+    papr = papr_mean if math.isfinite(papr_mean) else None
     times = conv_time[converged]
     return EnsembleResult(
         config=config,
-        report=report,
+        report=_report(config, stable, m2_mean, m4_mean, papr),
         m2_mean=m2_mean,
         m2_stderr=m2_se,
         m4_mean=m4_mean,
@@ -352,27 +347,32 @@ def _aggregate(config, stable, ok, m2, m4, papr_db, converged, conv_time) -> Ens
     )
 
 
-def run_ensemble(config: SystemConfig) -> EnsembleResult:
-    """Integrate one ensemble and compare measured moments with the closed form."""
-    if config.system not in ("lorenz", "henon"):
-        raise ValueError(f"run_ensemble applies to lorenz/henon, not {config.system!r}")
-    return _run_batched(config)
+def _report(config: SystemConfig, stable: bool, m2: float, m4: float, papr_db) -> HarvestReport:
+    """Closed-form and measured DC of a waveform with moments (m2, m4), priced under ``config``.
+
+    A multisine's closed form is priced from its exact moments and nothing is
+    measured; an unstable source has no closed form.
+    """
+    coeff = with_fading(coefficients(config.link, config.rectenna), config.fading)
+    if config.system == "multisine":
+        return HarvestReport(dc_from_moments(m2, m4, coeff), None, papr_db, stable)
+    if not stable:
+        eta_analytic = None
+    elif config.system == "lorenz":
+        eta_analytic = eta_scaled_lorenz(config.lorenz, config.scaling, coeff)
+    else:
+        eta_analytic = eta_henon(config.henon, coeff)
+    eta_empirical = dc_from_moments(m2, m4, coeff) if math.isfinite(m2) else None
+    return HarvestReport(eta_analytic, eta_empirical, papr_db, stable)
 
 
 def multisine_result(config: SystemConfig) -> EnsembleResult:
     """Deterministic multisine baseline presented in the same result shape."""
     m2, m4 = multisine_moments(config.n_tones)
-    coeff = with_fading(coefficients(config.link, config.rectenna), config.fading)
     papr = waveform_papr_db(multisine_waveform(config.n_tones, 10_000))
-    report = HarvestReport(
-        eta_analytic=dc_from_moments(m2, m4, coeff),
-        eta_empirical=None,
-        papr_db=papr,
-        stable=True,
-    )
     return EnsembleResult(
         config=config,
-        report=report,
+        report=_report(config, True, m2, m4, papr),
         m2_mean=m2,
         m2_stderr=0.0,
         m4_mean=m4,
@@ -393,21 +393,7 @@ def with_link(result: EnsembleResult, link: LinkBudget) -> EnsembleResult:
     of the DC model change; no re-integration happens.
     """
     cfg = replace(result.config, link=link)
-    coeff = with_fading(coefficients(link, cfg.rectenna), cfg.fading)
-    stable = result.report.stable
-    if not stable:
-        eta_analytic = None
-    elif cfg.system == "lorenz":
-        eta_analytic = eta_scaled_lorenz(cfg.lorenz, cfg.scaling, coeff)
-    elif cfg.system == "henon":
-        eta_analytic = eta_henon(cfg.henon, coeff)
-    else:
-        eta_analytic = dc_from_moments(result.m2_mean, result.m4_mean, coeff)
-    if cfg.system == "multisine" or not math.isfinite(result.m2_mean):
-        eta_empirical = None
-    else:
-        eta_empirical = dc_from_moments(result.m2_mean, result.m4_mean, coeff)
-    report = replace(result.report, eta_analytic=eta_analytic, eta_empirical=eta_empirical)
+    report = _report(cfg, result.report.stable, result.m2_mean, result.m4_mean, result.report.papr_db)
     return replace(result, config=cfg, report=report)
 
 
@@ -439,6 +425,8 @@ def patched_config(base: SystemConfig, parameter: str, value) -> SystemConfig:
     if parameter in ("gamma", "delta"):
         return replace(base, henon=replace(base.henon, **{parameter: value}))
     if parameter == "n_tones":
+        if not float(value).is_integer():
+            raise InvalidSweepError(f"n_tones must be a whole number, got {value!r}")
         return replace(base, n_tones=int(value))
     return replace(base, link=replace(base.link, pt_dbm=value))
 

@@ -433,3 +433,55 @@ def test_readme_configuration_block_matches_defaults():
     section = readme.split("### Configuration", 1)[1]
     block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
     assert validate_config(block) == ExperimentConfig()
+
+
+@pytest.mark.parametrize(
+    "doc,label",
+    [
+        ("system: lorenz\nsweep: {parameter: r, values: [5, -1]}", "sweep.values"),
+        ("system: lorenz\nsweep: {parameter: eps, values: [0.5]}", "sweep.values"),
+        ("system: henon\nsweep: {parameter: gamma, values: [0]}", "sweep.values"),
+        ("system: multisine\nsweep: {parameter: n_tones, values: [0]}", "sweep.values"),
+        ("system: multisine\nsweep: {parameter: n_tones, values: [2.5]}", "sweep.values"),
+        ("system: henon\nsweep: {parameter: delta, values: [0.1]}\n"
+         "ensemble: {init_box: [[0, 1], [0, 1], [0, 1]]}", "ensemble.init_box"),
+    ],
+)
+def test_cli_sweep_values_the_run_rejects_are_config_errors(tmp_path, capsys, doc, label):
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, "experiment: sweep\n" + doc)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"  - {label}: " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,box",
+    [
+        ("fig2", "[[0, 1], [0, 1]]"),  # the flow needs three pairs
+        ("fig4", "[[0, 1], [0, 1], [0, 1]]"),  # fig4 also runs the map
+        ("fig4", "[[0, 1], [0, 1]]"),
+    ],
+)
+def test_cli_init_box_that_does_not_fit_the_run_is_a_config_error(tmp_path, capsys, experiment, box):
+    doc = f"experiment: {experiment}\nensemble: {{n_realizations: 2, horizon: 1, init_box: {box}}}\n"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 2
+    assert "  - ensemble.init_box: " in capsys.readouterr().err
+
+
+def test_init_box_that_fits_the_run_is_accepted():
+    validate_config("experiment: fig2\nensemble: {init_box: [[0, 1], [0, 1], [0, 1]]}")
+    validate_config("experiment: sweep\nsystem: henon\nsweep: {parameter: delta, values: [0.1]}\n"
+                    "ensemble: {init_box: [[0, 1], [0, 1]]}")
+    # fig3 draws from a box around its own p_in, and a trajectory has no ensemble
+    validate_config("experiment: fig3\nensemble: {init_box: [[0, 1], [0, 1]]}")
+    validate_config("experiment: trajectory\nensemble: {init_box: [[0, 1], [0, 1]]}")
+
+
+def test_override_rejections_name_the_flag():
+    with pytest.raises(ConfigError, match="--seed: "):
+        apply_overrides(ExperimentConfig(), seed=2**64)
+    with pytest.raises(ConfigError, match="--realizations: "):
+        apply_overrides(ExperimentConfig(), n_realizations=0)
+    with pytest.raises(ConfigError, match="--out: "):
+        apply_overrides(ExperimentConfig(), out_dir="")

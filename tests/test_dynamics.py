@@ -142,6 +142,12 @@ def test_steps_for_horizon_rounding():
         steps_for_horizon(-1.0, 0.1)
 
 
+def test_steps_for_horizon_needs_a_finite_step_count():
+    for horizon, dt in [(math.inf, 1e-3), (1e300, 1e-300), (math.nan, 1e-3), (1.0, math.nan)]:
+        with pytest.raises(ValueError):
+            steps_for_horizon(horizon, dt)
+
+
 def test_transient_cutoff_index():
     assert transient_cutoff_index(101, 0.5) == 50
     assert transient_cutoff_index(100, 0.0) == 0

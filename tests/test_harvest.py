@@ -172,6 +172,25 @@ def test_fading_moments_validation():
     FadingMoments(m2=2.0, m4=4.0)  # boundary is fine
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LinkBudget(d_m=math.nan),
+        lambda: LinkBudget(alpha=math.nan),
+        lambda: RectennaParams(k2=math.nan),
+        lambda: RectennaParams(r_ant=math.nan),
+        lambda: FadingMoments(m2=math.nan),
+        lambda: FadingMoments(m4=math.nan),
+        lambda: ScalingFactors(eps_y=math.nan),
+    ],
+)
+def test_parameter_classes_reject_nan(build):
+    # a NaN compares false both ways, so each range check must be stated as
+    # "not inside the range" to catch it
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_lorenz_beats_henon_clear_cases():
     # settled flow amplitude sqrt(8/3 * 11) ~ 5.42 vs map fixed point ~ 0.92
     assert lorenz_beats_henon(LorenzParams(10.0, 12.0, 8.0 / 3.0), HenonParams(0.2, 0.1))

@@ -317,6 +317,27 @@ def test_multisine_result_is_deterministic_baseline():
     assert res.report.stable
 
 
+def test_patched_config_rejects_fractional_tone_count():
+    base = SystemConfig(system="multisine")
+    assert patched_config(base, "n_tones", 2.0).n_tones == 2
+    with pytest.raises(InvalidSweepError):
+        patched_config(base, "n_tones", 2.5)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"horizon": math.inf},
+        {"dt": math.nan},
+        {"init_box": ((0.0, 1.0),)},  # one pair fits neither the flow nor the map
+        {"init_box": ((0.0, 1.0),) * 4},
+    ],
+)
+def test_ensemble_config_rejects_what_no_ensemble_can_use(kwargs):
+    with pytest.raises(ValueError):
+        EnsembleConfig(**kwargs)
+
+
 def test_with_link_reprices_without_rerunning():
     res = run_ensemble(_henon_cfg(n=50))
     cheap = with_link(res, LinkBudget(pt_dbm=20.0))
