@@ -23,6 +23,13 @@ from .dynamics import STATE_DIM, HenonParams, LorenzParams, ScalingFactors, step
 from .errors import ChaosWptError, ConfigError
 from .montecarlo import _SWEEPABLE, EnsembleConfig, SystemConfig, initial_box, patched_config
 
+# libyaml reads and writes the same documents several times faster than the
+# pure-Python classes, which stand in when PyYAML was built without it
+if yaml.__with_libyaml__:
+    _LOADER, _DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+else:
+    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+
 EXPERIMENTS = ("trajectory", "stability-scan", "fig2", "fig3", "fig4", "sweep")
 
 
@@ -257,7 +264,7 @@ def _cross_block(cfg: ExperimentConfig) -> list[str]:
 def validate_config(text: str) -> ExperimentConfig:
     """Parse and validate a YAML config, reporting every violation at once."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError([f"not valid YAML: {exc}"]) from exc
     doc = {} if doc is None else doc
@@ -290,7 +297,7 @@ def to_document(cfg):
 
 
 def manifest_text(cfg: ExperimentConfig) -> str:
-    return yaml.safe_dump(to_document(cfg), sort_keys=True, default_flow_style=False)
+    return yaml.dump(to_document(cfg), Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
 
 
 def apply_overrides(

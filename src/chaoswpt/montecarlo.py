@@ -4,7 +4,8 @@ Realizations differ only in their initial point.  Initial points are drawn
 from per-realization counter-based RNG streams (Philox keyed by the seed,
 jumped by the realization index), so realization i's draw depends only on
 (seed, i): results are reproducible and independent of batch sizes or
-evaluation order.
+evaluation order.  One generator serves every realization: its counter is
+set to the state ``jumped(i)`` gives before each draw.
 
 Realizations are integrated a chunk at a time by the same time-blocked core
 as single orbits (:func:`chaoswpt.dynamics.sample_blocks`): a chunk of one
@@ -13,9 +14,10 @@ both do the same arithmetic in the same order.  The core hands over a small
 block of consecutive samples at a time, and the bookkeeping runs once per
 block, vectorised over time: the divergence mask, the second/fourth moment,
 peak and power sums (added in step order, so the bits do not depend on the
-block length), and a strided subsample of each realization kept so settling
-times can be measured with :func:`detect_steady_state`.  Full trajectories are
-never stored.
+block length), and a strided subsample of each realization, stored
+time-major like the blocks.  Settling is detected once per chunk on that
+subsample, with :func:`detect_steady_state`'s rule applied to every
+realization at once.  Full trajectories are never stored.
 """
 
 from __future__ import annotations
@@ -156,14 +158,26 @@ class EnsembleResult:
 
 
 def initial_points(cfg: EnsembleConfig, box: tuple[tuple[float, float], ...]) -> np.ndarray:
-    """Draw one initial point per realization from independent keyed streams."""
+    """Draw one initial point per realization from independent keyed streams.
+
+    Row i holds ``Generator(Philox(key=seed).jumped(i)).uniform(lo, hi)``.  A
+    jump adds i to the third word of the counter and empties the output
+    buffer, so one generator set to that state gives the same raw words
+    without building a generator per row.
+    """
     bounds = np.asarray(box, dtype=float)
-    root = np.random.Philox(key=cfg.seed)
-    pts = np.empty((cfg.n_realizations, bounds.shape[0]))
+    dim = bounds.shape[0]
+    bitgen = np.random.Philox(key=cfg.seed)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    raw = np.empty((cfg.n_realizations, dim), dtype=np.uint64)
     for i in range(cfg.n_realizations):
-        gen = np.random.Generator(root.jumped(i))
-        pts[i] = gen.uniform(bounds[:, 0], bounds[:, 1])
-    return pts
+        counter[2] = i
+        bitgen.state = state
+        raw[i] = bitgen.random_raw(dim)
+    # Generator.uniform: lo + (hi - lo) * (53 random bits scaled to [0, 1))
+    u = (raw >> np.uint64(11)) * 2.0**-53
+    return bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u
 
 
 def initial_box(config: SystemConfig) -> tuple[tuple[float, float], ...]:
@@ -175,12 +189,21 @@ def initial_box(config: SystemConfig) -> tuple[tuple[float, float], ...]:
     return box
 
 
-def _first_quiet_index(samples: np.ndarray, tol: float) -> int | None:
-    """First row from which every component's remaining excursion is <= tol.
+def _min_window(n: int) -> int:
+    """Rows a certifying suffix of ``n`` rows must hold: 10% of them, and two."""
+    return max(2, int(math.ceil(0.1 * n)))
 
-    The certifying suffix must contain at least 10% of the rows (and no fewer
-    than two), otherwise detection is refused.
+
+def detect_steady_state(traj: Trajectory, tol: float = 1e-3) -> int | None:
+    """Index where the orbit has settled, or None if it never certifiably does.
+
+    That is the first row from which every component's remaining excursion is
+    <= tol, provided the suffix it starts holds at least 10% of the rows (and
+    no fewer than two); otherwise detection is refused.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    samples = traj.samples
     rev = samples[::-1]
     hi = np.maximum.accumulate(rev, axis=0)[::-1]
     lo = np.minimum.accumulate(rev, axis=0)[::-1]
@@ -190,15 +213,33 @@ def _first_quiet_index(samples: np.ndarray, tol: float) -> int | None:
         return None
     first = int(np.argmax(quiet))
     n = samples.shape[0]
-    min_window = max(2, int(math.ceil(0.1 * n)))
-    return first if n - first >= min_window else None
+    return first if n - first >= _min_window(n) else None
 
 
-def detect_steady_state(traj: Trajectory, tol: float = 1e-3) -> int | None:
-    """Index where the orbit has settled, or None if it never certifiably does."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    return _first_quiet_index(traj.samples, tol)
+def _first_quiet_index(det: np.ndarray, tol: float) -> np.ndarray:
+    """:func:`detect_steady_state`'s index for each orbit of a chunk, -1 for None.
+
+    ``det`` is (n, dim, width), one column per orbit.  The rows are scanned
+    backwards with a running max and min per orbit; an orbit's suffix
+    excursion only grows as the suffix extends back, so its quiet rows are
+    the last ones, and the scan stops at the first row where no orbit is
+    quiet.
+    """
+    n, _, width = det.shape
+    hi = det[-1].copy()
+    lo = det[-1].copy()
+    span = np.empty_like(hi)
+    quiet = np.empty(width, dtype=bool)
+    count = np.zeros(width, dtype=np.intp)
+    for row in det[::-1]:
+        np.maximum(hi, row, out=hi)
+        np.minimum(lo, row, out=lo)
+        np.subtract(hi, lo, out=span)
+        np.less_equal(span.max(axis=0), tol, out=quiet)
+        if not quiet.any():
+            break
+        count += quiet
+    return np.where(count >= _min_window(n), n - count, -1)
 
 
 def run_ensemble(config: SystemConfig) -> EnsembleResult:
@@ -254,7 +295,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         s4 = np.zeros(width)
         pmax = np.zeros(width)
         psum = np.zeros(width)
-        det = np.empty((width, n_det, dim))
+        det = np.empty((n_det, dim, width))
 
         state = np.ascontiguousarray(pts[sl].T)
         for k0, samples, bad in sample_blocks(step, state, n_steps, bound):
@@ -274,7 +315,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
             j = -k0 % stride
             kept = samples[j::stride]
             row = (k0 + j) // stride
-            det[:, row:row + kept.shape[0]] = kept.transpose(2, 0, 1)
+            det[row:row + kept.shape[0]] = kept
 
         ok[sl] = alive
         m2[sl] = np.where(alive, s2 / m_count, np.nan)
@@ -285,13 +326,10 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
                 10.0 * np.log10(pmax / (psum / p_count)),
                 np.nan,
             )
-        for i in range(width):
-            if not alive[i]:
-                continue
-            idx = _first_quiet_index(det[i], ens.steady_state_tol)
-            if idx is not None:
-                converged[sl.start + i] = True
-                conv_time[sl.start + i] = idx * stride * dt
+        idx = _first_quiet_index(det, ens.steady_state_tol)
+        certified = alive & (idx >= 0)
+        converged[sl] = certified
+        conv_time[sl] = np.where(certified, idx * stride * dt, np.nan)
 
     return _aggregate(config, verdict.stable, ok, m2, m4, papr_db, converged, conv_time)
 

@@ -83,6 +83,61 @@ def test_detect_tol_validation(std_params):
         detect_steady_state(traj, tol=0.0)
 
 
+def _chunk(*columns):
+    """A (n, dim, width) detection buffer, one column per (n, dim) orbit."""
+    return np.stack([np.asarray(c, dtype=float).reshape(len(c), -1) for c in columns], axis=-1)
+
+
+def _orbit(head, tail, dim=2):
+    # ``head`` rows of distinct values, then ``tail`` equal rows
+    rows = np.concatenate([10.0 + np.arange(head), np.full(tail, 3.0)])
+    return np.stack([rows * (c + 1) for c in range(dim)], axis=1)
+
+
+def _detection_cases():
+    n = 50  # a certifying suffix needs max(2, ceil(0.1 n)) = 5 rows
+    k = np.arange(n)
+    settling = np.stack([3.0 + 2.0 * 0.5**k, -1.0 + 0.8**k], axis=1)
+    swinging = np.stack([(-1.0) ** k, np.ones(n)], axis=1)
+    constant = np.full((n, 2), 7.5)
+    dead = _orbit(n - 20, 20)
+    dead[30:] = 0.0
+    # the last rows swing by exactly 0.25: quiet at tol 0.25, not below it
+    edge = np.stack([np.concatenate([np.linspace(0.0, 9.0, n - 10), np.tile([1.0, 1.25], 5)]),
+                     np.full(n, 2.0)], axis=1)
+    return [
+        (_chunk(constant, settling, swinging, _orbit(n - 5, 5), _orbit(n - 4, 4), dead, edge), 1e-3),
+        (_chunk(settling, edge, _orbit(n - 10, 10), edge), 0.25),
+        (_chunk(settling[:, :1], swinging[:, :1], constant[:, :1]), 1e-6),
+        (_chunk(_orbit(0, 1, 3), _orbit(0, 1, 3)), 1e-3),
+        (_chunk(_orbit(0, 2, 3), _orbit(1, 1, 3), _orbit(2, 0, 3)), 1e-3),
+        (_chunk(dead, np.zeros((n, 2)), swinging, dead), 1e-3),
+        # 41 rows need ceil(4.1) = 5 quiet ones
+        (_chunk(_orbit(36, 5), _orbit(37, 4)), 1e-3),
+    ]
+
+
+@pytest.mark.parametrize("det, tol", _detection_cases())
+def test_chunk_detection_matches_detect_steady_state(det, tol):
+    # the chunk scan gives each orbit what detect_steady_state gives it alone
+    got = montecarlo._first_quiet_index(det, tol)
+    assert got.shape == (det.shape[2],)
+    for j in range(det.shape[2]):
+        alone = detect_steady_state(Trajectory(1.0, det[:, :, j].copy(), 0), tol)
+        assert got[j] == (-1 if alone is None else alone), j
+
+
+def test_chunk_detection_hand_values():
+    (det, tol), (det_edge, tol_edge) = _detection_cases()[:2]
+    # constant, settling, swinging, 5-row and 4-row quiet suffixes, dead, edge
+    idx = montecarlo._first_quiet_index(det, tol)
+    assert list(idx[[0, 2, 3, 4, 5, 6]]) == [0, -1, 45, -1, 30, -1]
+    assert 0 < idx[1] < 45
+    assert montecarlo._first_quiet_index(det_edge, tol_edge)[1] == 40
+    assert montecarlo._first_quiet_index(det_edge, np.nextafter(tol_edge, 0.0))[1] == -1
+    assert list(montecarlo._first_quiet_index(*_detection_cases()[-1])) == [36, -1]
+
+
 def test_initial_points_reproducible_and_in_box():
     cfg = EnsembleConfig(n_realizations=40, seed=7)
     a = initial_points(cfg, LORENZ_INIT_BOX)
@@ -103,6 +158,15 @@ def test_initial_points_keyed_per_realization():
     lows = np.array(LORENZ_INIT_BOX)[:, 0]
     highs = np.array(LORENZ_INIT_BOX)[:, 1]
     assert np.array_equal(big[13], gen.uniform(lows, highs))
+    # every row, at the extreme keys and for a box of width zero (fig3's point)
+    point = ((2.0, 2.0), (-1.0, -1.0), (25.0, 25.0))
+    for seed in (0, 7, 2**64 - 1):
+        for box in (LORENZ_INIT_BOX, HENON_INIT_BOX, point):
+            bounds = np.array(box)
+            pts = initial_points(EnsembleConfig(n_realizations=50, seed=seed), box)
+            for i, row in enumerate(pts):
+                gen = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+                assert np.array_equal(row, gen.uniform(bounds[:, 0], bounds[:, 1])), (seed, box, i)
 
 
 def test_initial_points_differ_across_seeds():
