@@ -6,15 +6,19 @@ the output directory.  Exit status: 0 on success, 2 for an invalid or
 unreadable config, 3 for a runtime failure (divergence, undefined quantity,
 an output that cannot be written).
 
-All results are computed before anything is written, and every file is written
-atomically, so a failed run never leaves partial output behind.
+All results are computed before anything is written.  The outputs are staged
+in a temp directory inside the output directory and renamed into place once
+all are written, manifest last; a failure removes every one of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +33,7 @@ from .io_utils import (
     trajectory_csv,
     write_text_atomic,
 )
-from .montecarlo import SweepSpec, multisine_result, run_ensemble, sweep, with_link
+from .montecarlo import SweepSpec, sweep
 from .stability import hurwitz_stable
 
 
@@ -58,13 +62,18 @@ def _run_scan(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     return [("stability_scan.csv", csv_text(SCAN_HEADER, rows))]
 
 
+def _harvest_file(name: str, specs: list[SweepSpec]) -> tuple[str, str]:
+    """One harvest CSV holding the rows of each sweep in turn."""
+    rows = [harvest_row(res) for spec in specs for res in sweep(spec)]
+    return (name, csv_text(HARVEST_HEADER, rows))
+
+
 def _run_fig2(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    rows = []
+    specs = []
     for eps in cfg.fig2.eps_values:
         base = replace(cfg.base, system="lorenz", scaling=ScalingFactors(eps, eps, eps))
-        for res in sweep(SweepSpec("r", cfg.fig2.r_values, base)):
-            rows.append(harvest_row(res))
-    return [("fig2.csv", csv_text(HARVEST_HEADER, rows))]
+        specs.append(SweepSpec("r", cfg.fig2.r_values, base))
+    return [_harvest_file("fig2.csv", specs)]
 
 
 def _run_fig3(cfg: ExperimentConfig) -> list[tuple[str, str]]:
@@ -75,46 +84,31 @@ def _run_fig3(cfg: ExperimentConfig) -> list[tuple[str, str]]:
         init_box=_point_box(f3.p_in),
     )
     files = []
-    for sigma in f3.sigma_values:
-        for eps in f3.eps_values:
-            base = replace(
-                cfg.base,
-                system="lorenz",
-                lorenz=replace(cfg.base.lorenz, sigma=sigma),
-                scaling=ScalingFactors(eps, eps, eps),
-                ensemble=ens,
-            )
-            rows = [harvest_row(res) for res in sweep(SweepSpec("r", f3.r_values, base))]
-            files.append(
-                (f"fig3_sigma{sigma:g}_eps{eps:g}.csv", csv_text(HARVEST_HEADER, rows))
-            )
+    for sigma, eps in itertools.product(f3.sigma_values, f3.eps_values):
+        base = replace(
+            cfg.base,
+            system="lorenz",
+            lorenz=replace(cfg.base.lorenz, sigma=sigma),
+            scaling=ScalingFactors(eps, eps, eps),
+            ensemble=ens,
+        )
+        spec = SweepSpec("r", f3.r_values, base)
+        files.append(_harvest_file(f"fig3_sigma{sigma:g}_eps{eps:g}.csv", [spec]))
     return files
 
 
 def _run_fig4(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    f4 = cfg.fig4
-    base_results = []
-    for r in f4.lorenz_r_values:
-        base_results.append(
-            run_ensemble(replace(cfg.base, system="lorenz", lorenz=replace(cfg.base.lorenz, r=r)))
-        )
-    for gamma, delta in f4.henon_params:
-        base_results.append(
-            run_ensemble(replace(cfg.base, system="henon", henon=HenonParams(gamma, delta)))
-        )
-    for n in f4.n_tones_values:
-        base_results.append(multisine_result(replace(cfg.base, system="multisine", n_tones=n)))
-    rows = []
-    for res in base_results:
-        for pt in f4.pt_dbm_values:
-            rows.append(harvest_row(with_link(res, replace(res.config.link, pt_dbm=pt))))
-    return [("fig4.csv", csv_text(HARVEST_HEADER, rows))]
+    f4, base = cfg.fig4, cfg.base
+    waveforms = (
+        [replace(base, system="lorenz", lorenz=replace(base.lorenz, r=r)) for r in f4.lorenz_r_values]
+        + [replace(base, system="henon", henon=HenonParams(g, d)) for g, d in f4.henon_params]
+        + [replace(base, system="multisine", n_tones=n) for n in f4.n_tones_values]
+    )
+    return [_harvest_file("fig4.csv", [SweepSpec("pt_dbm", f4.pt_dbm_values, w) for w in waveforms])]
 
 
 def _run_sweep(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    results = sweep(SweepSpec(cfg.sweep.parameter, cfg.sweep.values, cfg.base))
-    rows = [harvest_row(res) for res in results]
-    return [("sweep.csv", csv_text(HARVEST_HEADER, rows))]
+    return [_harvest_file("sweep.csv", [SweepSpec(cfg.sweep.parameter, cfg.sweep.values, cfg.base)])]
 
 
 _RUNNERS = {
@@ -130,15 +124,23 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute one experiment; returns the paths written (manifest last)."""
     outputs = _RUNNERS[cfg.experiment](cfg)
+    outputs.append(("manifest.yaml", manifest_text(cfg)))
     out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=".staged-", dir=out_dir))
     written = []
-    for name, text in outputs:
-        path = out_dir / name
-        write_text_atomic(path, text)
-        written.append(path)
-    manifest = out_dir / "manifest.yaml"
-    write_text_atomic(manifest, manifest_text(cfg))
-    written.append(manifest)
+    try:
+        for name, text in outputs:
+            write_text_atomic(stage / name, text)
+        for name, _ in outputs:
+            os.replace(stage / name, out_dir / name)
+            written.append(out_dir / name)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
     return written
 
 

@@ -103,10 +103,6 @@ class Trajectory:
     transient_cutoff: int
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.samples.shape[0]) * self.dt
-
-    @property
     def steady_samples(self) -> np.ndarray:
         return self.samples[self.transient_cutoff:]
 

@@ -470,14 +470,15 @@ def patched_config(base: SystemConfig, parameter: str, value) -> SystemConfig:
 
 
 def sweep(spec: SweepSpec) -> list[EnsembleResult]:
-    """Run one ensemble (or deterministic evaluation) per swept value, in order."""
+    """One result per swept value, in order; a bad value fails before anything runs.
+
+    A ``pt_dbm`` sweep evaluates once and re-prices with :func:`with_link`.
+    """
     if not spec.values:
         raise InvalidSweepError("sweep requires at least one value")
-    results = []
-    for value in spec.values:
-        cfg = patched_config(spec.fixed, spec.parameter, value)
-        if cfg.system == "multisine":
-            results.append(multisine_result(cfg))
-        else:
-            results.append(run_ensemble(cfg))
-    return results
+    cfgs = [patched_config(spec.fixed, spec.parameter, v) for v in spec.values]
+    evaluate = multisine_result if spec.fixed.system == "multisine" else run_ensemble
+    if spec.parameter != "pt_dbm":
+        return [evaluate(cfg) for cfg in cfgs]
+    first = evaluate(cfgs[0])
+    return [first] + [with_link(first, cfg.link) for cfg in cfgs[1:]]

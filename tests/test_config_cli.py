@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from chaoswpt import cli
 from chaoswpt.cli import main, run_experiment
 from chaoswpt.config import (
     ExperimentConfig,
@@ -15,7 +17,15 @@ from chaoswpt.config import (
 )
 from chaoswpt.dynamics import HenonParams, LorenzParams, integrate_lorenz, iterate_henon
 from chaoswpt.errors import ConfigError
-from chaoswpt.io_utils import HARVEST_HEADER, csv_text, fmt_value, trajectory_csv, write_text_atomic
+from chaoswpt.io_utils import (
+    HARVEST_HEADER,
+    csv_text,
+    fmt_value,
+    harvest_row,
+    trajectory_csv,
+    write_text_atomic,
+)
+from chaoswpt.montecarlo import multisine_result, run_ensemble, with_link
 
 
 def test_empty_document_resolves_to_defaults():
@@ -221,6 +231,40 @@ def test_cli_unwritable_out_dir_exit_code(tmp_path, capsys):
     assert (tmp_path / "blocker").is_file()
 
 
+_MULTISINE_SWEEP = """
+experiment: sweep
+system: multisine
+sweep: {parameter: n_tones, values: [1, 2]}
+"""
+
+
+def test_cli_failed_rename_leaves_no_output(tmp_path, capsys):
+    # the manifest cannot replace a directory, so the run fails after the
+    # CSV is already renamed into place
+    out = tmp_path / "out"
+    (out / "manifest.yaml").mkdir(parents=True)
+    assert main(["run", str(_write(tmp_path, _MULTISINE_SWEEP)), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("run failed: ") and err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["manifest.yaml"]
+    assert (out / "manifest.yaml").is_dir()
+
+
+def test_cli_failed_staging_leaves_no_output(tmp_path, capsys, monkeypatch):
+    write = cli.write_text_atomic
+
+    def fail_on_manifest(path, text):
+        if Path(path).name == "manifest.yaml":
+            raise OSError("disk full")
+        write(path, text)
+
+    monkeypatch.setattr(cli, "write_text_atomic", fail_on_manifest)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, _MULTISINE_SWEEP)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "run failed: disk full\n"
+    assert list(out.iterdir()) == []
+
+
 def test_cli_seed_and_realizations_override_manifest(tmp_path):
     doc = """
 experiment: sweep
@@ -335,6 +379,36 @@ ensemble: {n_realizations: 4, horizon: 10}
         assert float(low["eta_analytic"]) < float(high["eta_analytic"])
     # re-priced rows share one ensemble: measured moments identical across power
     assert rows[0]["m2_emp"] == rows[1]["m2_emp"]
+
+
+def test_fig4_rows_match_run_then_reprice():
+    # reference rows: each waveform evaluated once at the base link, then
+    # re-priced at every power with with_link
+    cfg = validate_config("""
+experiment: fig4
+fig4:
+  pt_dbm_values: [10, 25]
+  lorenz_r_values: [5, 12]
+  henon_params: [[0.2, 0.1], [0.001, 0.9]]
+  n_tones_values: [1, 4]
+ensemble: {n_realizations: 5, horizon: 20}
+""")
+    base, f4 = cfg.base, cfg.fig4
+    results = [
+        run_ensemble(replace(base, system="lorenz", lorenz=replace(base.lorenz, r=r)))
+        for r in f4.lorenz_r_values
+    ]
+    results += [
+        run_ensemble(replace(base, system="henon", henon=HenonParams(g, d)))
+        for g, d in f4.henon_params
+    ]
+    results += [multisine_result(replace(base, system="multisine", n_tones=n)) for n in f4.n_tones_values]
+    rows = [
+        harvest_row(with_link(res, replace(res.config.link, pt_dbm=pt)))
+        for res in results
+        for pt in f4.pt_dbm_values
+    ]
+    assert cli._run_fig4(cfg) == [("fig4.csv", csv_text(HARVEST_HEADER, rows))]
 
 
 def test_run_experiment_returns_written_paths(tmp_path):

@@ -17,6 +17,7 @@ from chaoswpt.dynamics import (
 )
 from chaoswpt.errors import InvalidSweepError
 from chaoswpt.harvest import LinkBudget, coefficients, dc_from_moments
+from chaoswpt.io_utils import HARVEST_HEADER, csv_text, harvest_row
 from chaoswpt.montecarlo import (
     EnsembleConfig,
     HENON_INIT_BOX,
@@ -356,6 +357,44 @@ def test_sweep_rejects_mismatched_parameter():
         sweep(SweepSpec("volume", (1.0,), _lorenz_cfg()))
     with pytest.raises(InvalidSweepError):
         sweep(SweepSpec("r", (), _lorenz_cfg()))
+
+
+def _count_evaluations(monkeypatch) -> list:
+    """Record every config ``sweep`` evaluates through montecarlo's namespace."""
+    calls = []
+    for name in ("run_ensemble", "multisine_result"):
+        def counted(cfg, _evaluate=getattr(montecarlo, name)):
+            calls.append(cfg)
+            return _evaluate(cfg)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "base",
+    [_lorenz_cfg(n=20, horizon=20.0), _henon_cfg(n=50), SystemConfig(system="multisine", n_tones=2)],
+    ids=["lorenz", "henon", "multisine"],
+)
+def test_pt_dbm_sweep_evaluates_once_and_reprices(monkeypatch, base):
+    values = (10.0, 20.0, 30.0)
+    evaluate = multisine_result if base.system == "multisine" else run_ensemble
+    want = [harvest_row(evaluate(patched_config(base, "pt_dbm", v))) for v in values]
+    calls = _count_evaluations(monkeypatch)
+    results = sweep(SweepSpec("pt_dbm", values, base))
+    assert csv_text(HARVEST_HEADER, [harvest_row(res) for res in results]) == csv_text(
+        HARVEST_HEADER, want
+    )
+    assert calls == [patched_config(base, "pt_dbm", 10.0)]
+
+
+def test_sweep_rejects_a_bad_value_before_running_any(monkeypatch):
+    calls = _count_evaluations(monkeypatch)
+    with pytest.raises(ValueError):
+        sweep(SweepSpec("r", (5.0, -1.0), _lorenz_cfg(n=2, horizon=1.0)))
+    with pytest.raises(InvalidSweepError):
+        sweep(SweepSpec("n_tones", (1, 2.5), SystemConfig(system="multisine")))
+    assert calls == []
 
 
 def test_sweep_eps_sets_all_axes():
