@@ -23,7 +23,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, apply_overrides, load_config, manifest_text
-from .dynamics import HenonParams, LorenzParams, ScalingFactors, integrate_lorenz, iterate_henon
+from .dynamics import (
+    HenonParams, LorenzParams, ScalingFactors, integrate_lorenz, iterate_henon, steps_for_horizon
+)
 from .errors import ChaosWptError, ConfigError
 from .io_utils import (
     HARVEST_HEADER,
@@ -47,7 +49,7 @@ def _run_trajectory(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     if base.system == "lorenz":
         traj = integrate_lorenz(tr.p_in, base.lorenz, base.scaling, dt=tr.dt, horizon=tr.horizon)
     else:
-        traj = iterate_henon(tr.p_in, base.henon, n_steps=int(tr.horizon))
+        traj = iterate_henon(tr.p_in, base.henon, n_steps=steps_for_horizon(tr.horizon, 1.0))
     return [("trajectory.csv", trajectory_csv(traj))]
 
 
@@ -154,9 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", type=Path, help="path to the YAML config")
     run.add_argument("--seed", type=int, default=None, help="override ensemble.seed")
     run.add_argument("--out", type=str, default=None, help="override out_dir")
-    run.add_argument(
-        "--realizations", type=int, default=None, help="override the ensemble size"
-    )
+    run.add_argument("--realizations", type=int, default=None,
+                     help="override ensemble.n_realizations; fig3 integrates one orbit per point")
     return parser
 
 

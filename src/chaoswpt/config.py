@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .dynamics import STATE_DIM, HenonParams, LorenzParams, ScalingFactors, steps_for_horizon
+from .dynamics import DEFAULT_DT, STATE_DIM, HenonParams, LorenzParams, ScalingFactors, steps_for_horizon
 from .errors import ChaosWptError, ConfigError
-from .montecarlo import _SWEEPABLE, EnsembleConfig, SystemConfig, initial_box, patched_config
+from .montecarlo import _SWEEPABLE, SystemConfig, initial_box, patched_config
 
 # libyaml reads and writes the same documents several times faster than the
 # pure-Python classes, which stand in when PyYAML was built without it
@@ -38,7 +38,7 @@ class TrajectorySpec:
     """Single-orbit experiment: one initial point, one integration."""
 
     p_in: tuple[float, ...] = (1.0, -5.0, 20.0)
-    dt: float = 1e-3
+    dt: float = DEFAULT_DT
     horizon: float = 50.0
 
     def __post_init__(self):
@@ -80,7 +80,7 @@ class Fig2Spec:
 
 @dataclass(frozen=True)
 class Fig3Spec:
-    """PAPR-versus-r curves in the chaotic band, one file per (sigma, eps)."""
+    """PAPR-versus-r curves in the chaotic band, one file per (sigma, eps), one orbit per point."""
 
     r_values: tuple[float, ...] = (26.0, 28.0, 30.0, 32.0, 34.0, 36.0, 38.0, 40.0)
     eps_values: tuple[float, ...] = (1.0, 6.0)
@@ -97,7 +97,8 @@ class Fig3Spec:
             LorenzParams(sigma=sigma)
         if len(self.p_in) != STATE_DIM["lorenz"]:
             raise ValueError(f"p_in must be a state of the flow, got {list(self.p_in)}")
-        EnsembleConfig(n_realizations=self.n_realizations)
+        if self.n_realizations != 1:
+            raise ValueError(f"n_realizations must be 1 (one orbit per point), got {self.n_realizations}")
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,7 @@ def apply_overrides(
         flag = "--realizations"
         if n_realizations is not None:
             ensemble = replace(cfg.base.ensemble, n_realizations=n_realizations)
-            fig3 = replace(cfg.fig3, n_realizations=n_realizations)
-            cfg = replace(cfg, base=replace(cfg.base, ensemble=ensemble), fig3=fig3)
+            cfg = replace(cfg, base=replace(cfg.base, ensemble=ensemble))
         flag = "--out"
         if out_dir is not None:
             cfg = replace(cfg, out_dir=out_dir)

@@ -115,7 +115,11 @@ def transient_cutoff_index(n_samples: int, fraction: float = DEFAULT_TRANSIENT_F
 
 
 def steps_for_horizon(horizon: float, dt: float) -> int:
-    """Number of integration steps covering ``horizon`` time units."""
+    """Number of integration steps covering ``horizon`` time units.
+
+    The map takes one step per time unit (``dt`` 1.0).  A ratio within 1e-9
+    below a whole number rounds up to it.
+    """
     if not (dt > 0 and horizon > 0 and math.isfinite(horizon / dt)):
         raise ValueError(f"dt and horizon must be positive with a finite ratio, got {dt:g} and {horizon:g}")
     return int(math.floor(horizon / dt + 1e-9))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from pathlib import Path
 
 #: column order of the harvest/sweep CSV emitted by the experiment runner
@@ -55,14 +54,16 @@ def csv_text(header: list[str], rows: list[list]) -> str:
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    # a fresh name, created exclusively as mkstemp does, but with mode 0o666
+    # so that the umask sets the output's permissions
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    DEFAULT_DIVERGENCE_BOUND,
+    DEFAULT_DT,
+    DEFAULT_TRANSIENT_FRACTION,
     STATE_DIM,
     HenonParams,
     LorenzParams,
@@ -78,10 +79,10 @@ class EnsembleConfig:
     n_realizations: int = 1000
     seed: int = 1
     init_box: tuple[tuple[float, float], ...] | None = None
-    dt: float = 1e-3
+    dt: float = DEFAULT_DT
     horizon: float = 100.0
     steady_state_tol: float = 1e-3
-    transient_fraction: float = 0.5
+    transient_fraction: float = DEFAULT_TRANSIENT_FRACTION
 
     def __post_init__(self):
         if self.n_realizations < 1:
@@ -91,8 +92,7 @@ class EnsembleConfig:
         steps_for_horizon(self.horizon, self.dt)
         if not self.steady_state_tol > 0:
             raise ValueError("steady_state_tol must be positive")
-        if not 0.0 <= self.transient_fraction < 1.0:
-            raise ValueError("transient_fraction must be in [0, 1)")
+        transient_cutoff_index(0, self.transient_fraction)
         if self.init_box is not None:
             if len(self.init_box) not in STATE_DIM.values():
                 raise ValueError(f"init_box must have 2 (map) or 3 (flow) pairs, got {len(self.init_box)}")
@@ -194,7 +194,7 @@ def _min_window(n: int) -> int:
     return max(2, int(math.ceil(0.1 * n)))
 
 
-def detect_steady_state(traj: Trajectory, tol: float = 1e-3) -> int | None:
+def detect_steady_state(traj: Trajectory, tol: float = EnsembleConfig.steady_state_tol) -> int | None:
     """Index where the orbit has settled, or None if it never certifiably does.
 
     That is the first row from which every component's remaining excursion is
@@ -251,16 +251,18 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     dim = len(box)
     if config.system == "lorenz":
         dt = ens.dt
-        n_steps = steps_for_horizon(ens.horizon, ens.dt)
         verdict = hurwitz_stable(config.lorenz)
         consts = rate_constants(config.lorenz, config.scaling)
-        stride = max(1, int(round(_DETECTION_SPACING / dt)))
+        def step(s, work):
+            return rk4_step(s[0], s[1], s[2], dt, consts, work)
     else:
         dt = 1.0
-        n_steps = int(math.floor(ens.horizon))
         verdict = henon_stable(config.henon)
-        stride = 1
+        def step(s, work):
+            return henon_step(s, config.henon, work)
 
+    n_steps = steps_for_horizon(ens.horizon, dt)
+    stride = max(1, int(round(_DETECTION_SPACING / dt)))
     n_samples = n_steps + 1
     cutoff = transient_cutoff_index(n_samples, ens.transient_fraction)
     # Chaotic (unstable) regimes have no settling point; measure PAPR once the
@@ -269,14 +271,6 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     m_count = n_samples - cutoff
     p_count = n_samples - papr_start
     n_det = 1 + (n_samples - 1) // stride
-    bound = DEFAULT_DIVERGENCE_BOUND
-
-    if dim == 3:
-        def step(s, work):
-            return rk4_step(s[0], s[1], s[2], dt, consts, work)
-    else:
-        def step(s, work):
-            return henon_step(s, config.henon, work)
 
     pts = initial_points(ens, box)
     n = ens.n_realizations
@@ -298,7 +292,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         det = np.empty((n_det, dim, width))
 
         state = np.ascontiguousarray(pts[sl].T)
-        for k0, samples, bad in sample_blocks(step, state, n_steps, bound):
+        for k0, samples, bad in sample_blocks(step, state, n_steps):
             if bad is not None:
                 alive &= ~bad.any(axis=0)
             x2 = samples[:, 0] * samples[:, 0]

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from chaoswpt.config import (
     to_document,
     validate_config,
 )
-from chaoswpt.dynamics import HenonParams, LorenzParams, integrate_lorenz, iterate_henon
+from chaoswpt.dynamics import HenonParams, LorenzParams, integrate_lorenz, iterate_henon, steps_for_horizon
 from chaoswpt.errors import ConfigError
 from chaoswpt.io_utils import (
     HARVEST_HEADER,
@@ -127,7 +129,7 @@ def test_apply_overrides():
     cfg = apply_overrides(ExperimentConfig(), seed=99, out_dir="elsewhere", n_realizations=5)
     assert cfg.base.ensemble.seed == 99
     assert cfg.base.ensemble.n_realizations == 5
-    assert cfg.fig3.n_realizations == 5
+    assert cfg.fig3.n_realizations == 1
     assert cfg.out_dir == "elsewhere"
     with pytest.raises(ConfigError):
         apply_overrides(ExperimentConfig(), n_realizations=0)
@@ -172,6 +174,19 @@ def test_write_text_atomic(tmp_path):
     assert list(target.parent.glob("*.tmp")) == []
     write_text_atomic(target, "replaced")
     assert target.read_text() == "replaced"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_cli_outputs_get_the_umask_default_mode(tmp_path, umask):
+    doc = "experiment: stability-scan\nscan: {r_values: [10, 30]}\n"
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert modes == dict.fromkeys(["stability_scan.csv", "manifest.yaml"], 0o666 & ~umask)
 
 
 def _write(tmp_path, text, name="cfg.yaml"):
@@ -277,6 +292,41 @@ sweep: {parameter: n_tones, values: [1, 2]}
     manifest = yaml.safe_load((out / "manifest.yaml").read_text())
     assert manifest["ensemble"]["seed"] == 42
     assert manifest["ensemble"]["n_realizations"] == 7
+
+
+_FIG3 = """
+experiment: fig3
+fig3: {r_values: [28], eps_values: [6], sigma_values: [10], n_realizations: 1}
+ensemble: {horizon: 5}
+"""
+
+
+def test_cli_fig3_rejects_more_than_one_realization(tmp_path, capsys):
+    doc = _FIG3.replace("n_realizations: 1", "n_realizations: 7")
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "  - fig3.n_realizations: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_realizations_flag_leaves_fig3_unchanged(tmp_path):
+    cfg = _write(tmp_path, _FIG3)
+    plain, sized = tmp_path / "plain", tmp_path / "sized"
+    assert main(["run", str(cfg), "--out", str(plain)]) == 0
+    assert main(["run", str(cfg), "--out", str(sized), "--realizations", "7"]) == 0
+    csvs = sorted(p.name for p in plain.glob("*.csv"))
+    assert csvs == ["fig3_sigma10_eps6.csv"]
+    assert all((plain / name).read_bytes() == (sized / name).read_bytes() for name in csvs)
+
+
+def test_map_trajectory_horizon_rounds_like_the_flow(tmp_path):
+    horizon = 3 - 1e-12
+    assert steps_for_horizon(horizon, 1.0) == 3
+    doc = f"system: henon\ntrajectory: {{p_in: [0.1, 0.2], horizon: {horizon!r}}}\n"
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4 and lines[-1].startswith("3,")
 
 
 def test_cli_stability_scan(tmp_path):

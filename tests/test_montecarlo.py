@@ -14,6 +14,8 @@ from chaoswpt.dynamics import (
     Trajectory,
     integrate_lorenz,
     iterate_henon,
+    steps_for_horizon,
+    transient_cutoff_index,
 )
 from chaoswpt.errors import InvalidSweepError
 from chaoswpt.harvest import LinkBudget, coefficients, dc_from_moments
@@ -462,6 +464,29 @@ def test_init_box_dimension_checked():
     )
     with pytest.raises(ValueError):
         run_ensemble(cfg)
+
+
+def test_map_ensemble_horizon_rounds_like_the_flow(monkeypatch):
+    horizon = 3 - 1e-12
+    taken = []
+    blocks = montecarlo.sample_blocks
+
+    def counting(step, state, n_steps, *args):
+        taken.append(n_steps)
+        return blocks(step, state, n_steps, *args)
+
+    monkeypatch.setattr(montecarlo, "sample_blocks", counting)
+    spec = SweepSpec("gamma", (0.2,), _henon_cfg(n=1, horizon=horizon))
+    assert [res.n_realizations for res in sweep(spec)] == [1]
+    assert taken == [3] == [steps_for_horizon(horizon, 1.0)]
+
+
+def test_transient_fraction_rule_is_transient_cutoff_index():
+    with pytest.raises(ValueError) as rule:
+        transient_cutoff_index(10, 1.0)
+    with pytest.raises(ValueError) as ensemble:
+        EnsembleConfig(transient_fraction=1.0)
+    assert str(ensemble.value) == str(rule.value)
 
 
 def test_config_validation():
