@@ -6,6 +6,10 @@ the output directory.  Exit status: 0 on success, 2 for an invalid or
 unreadable config, 3 for a runtime failure (divergence, undefined quantity,
 an output that cannot be written).
 
+The harvest experiments (fig2, fig3, fig4, sweep) share one runner: it
+evaluates the sweeps :func:`chaoswpt.config.harvest_files` lists for each
+file and writes their rows in that order.
+
 All results are computed before anything is written.  The outputs are staged
 in a temp directory inside the output directory and renamed into place once
 all are written, manifest last; a failure removes every one of them.
@@ -19,13 +23,10 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, apply_overrides, load_config, manifest_text
-from .dynamics import (
-    HenonParams, LorenzParams, ScalingFactors, integrate_lorenz, iterate_henon, steps_for_horizon
-)
+from .config import ExperimentConfig, apply_overrides, harvest_files, load_config, manifest_text
+from .dynamics import LorenzParams, integrate_lorenz, iterate_henon, steps_for_horizon
 from .errors import ChaosWptError, ConfigError
 from .io_utils import (
     HARVEST_HEADER,
@@ -35,12 +36,8 @@ from .io_utils import (
     trajectory_csv,
     write_text_atomic,
 )
-from .montecarlo import SweepSpec, sweep
+from .montecarlo import sweep
 from .stability import hurwitz_stable
-
-
-def _point_box(point) -> tuple:
-    return tuple((float(v), float(v)) for v in point)
 
 
 def _run_trajectory(cfg: ExperimentConfig) -> list[tuple[str, str]]:
@@ -64,68 +61,20 @@ def _run_scan(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     return [("stability_scan.csv", csv_text(SCAN_HEADER, rows))]
 
 
-def _harvest_file(name: str, specs: list[SweepSpec]) -> tuple[str, str]:
-    """One harvest CSV holding the rows of each sweep in turn."""
-    rows = [harvest_row(res) for spec in specs for res in sweep(spec)]
-    return (name, csv_text(HARVEST_HEADER, rows))
+def _run_harvest(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+    """Each harvest CSV, holding the rows of its sweeps in turn."""
+    return [
+        (name, csv_text(HARVEST_HEADER, [harvest_row(res) for spec in specs for res in sweep(spec)]))
+        for name, specs in harvest_files(cfg)
+    ]
 
 
-def _run_fig2(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    specs = []
-    for eps in cfg.fig2.eps_values:
-        base = replace(cfg.base, system="lorenz", scaling=ScalingFactors(eps, eps, eps))
-        specs.append(SweepSpec("r", cfg.fig2.r_values, base))
-    return [_harvest_file("fig2.csv", specs)]
-
-
-def _run_fig3(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    f3 = cfg.fig3
-    ens = replace(
-        cfg.base.ensemble,
-        n_realizations=f3.n_realizations,
-        init_box=_point_box(f3.p_in),
-    )
-    files = []
-    for sigma, eps in itertools.product(f3.sigma_values, f3.eps_values):
-        base = replace(
-            cfg.base,
-            system="lorenz",
-            lorenz=replace(cfg.base.lorenz, sigma=sigma),
-            scaling=ScalingFactors(eps, eps, eps),
-            ensemble=ens,
-        )
-        spec = SweepSpec("r", f3.r_values, base)
-        files.append(_harvest_file(f"fig3_sigma{sigma:g}_eps{eps:g}.csv", [spec]))
-    return files
-
-
-def _run_fig4(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    f4, base = cfg.fig4, cfg.base
-    waveforms = (
-        [replace(base, system="lorenz", lorenz=replace(base.lorenz, r=r)) for r in f4.lorenz_r_values]
-        + [replace(base, system="henon", henon=HenonParams(g, d)) for g, d in f4.henon_params]
-        + [replace(base, system="multisine", n_tones=n) for n in f4.n_tones_values]
-    )
-    return [_harvest_file("fig4.csv", [SweepSpec("pt_dbm", f4.pt_dbm_values, w) for w in waveforms])]
-
-
-def _run_sweep(cfg: ExperimentConfig) -> list[tuple[str, str]]:
-    return [_harvest_file("sweep.csv", [SweepSpec(cfg.sweep.parameter, cfg.sweep.values, cfg.base)])]
-
-
-_RUNNERS = {
-    "trajectory": _run_trajectory,
-    "stability-scan": _run_scan,
-    "fig2": _run_fig2,
-    "fig3": _run_fig3,
-    "fig4": _run_fig4,
-    "sweep": _run_sweep,
-}
+_RUNNERS = {"trajectory": _run_trajectory, "stability-scan": _run_scan}
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     """Execute one experiment; returns the paths written (manifest last)."""
-    outputs = _RUNNERS[cfg.experiment](cfg)
+    outputs = _RUNNERS.get(cfg.experiment, _run_harvest)(cfg)
     outputs.append(("manifest.yaml", manifest_text(cfg)))
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

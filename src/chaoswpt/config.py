@@ -7,6 +7,10 @@ the value feeds, is the only statement of a range rule.  Every violation is
 reported at once, each as ``block.key: <the class's own reason>``.  Rules that
 tie blocks together are checked once the blocks are valid.
 
+:func:`harvest_files` is the one statement of the sweeps each harvest
+experiment runs.  The runner evaluates that list, and validation checks
+``ensemble.init_box`` against every ensemble in it.
+
 Each run writes ``manifest.yaml``, the fully resolved configuration.  Feeding
 the manifest back in as the config reproduces the run.
 """
@@ -14,6 +18,7 @@ the manifest back in as the config reproduces the run.
 from __future__ import annotations
 
 import functools
+import itertools
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -21,7 +26,7 @@ import yaml
 
 from .dynamics import DEFAULT_DT, STATE_DIM, HenonParams, LorenzParams, ScalingFactors, steps_for_horizon
 from .errors import ChaosWptError, ConfigError
-from .montecarlo import _SWEEPABLE, SystemConfig, initial_box, patched_config
+from .montecarlo import _SWEEPABLE, SweepSpec, SystemConfig, initial_box, patched_config
 
 # libyaml reads and writes the same documents several times faster than the
 # pure-Python classes, which stand in when PyYAML was built without it
@@ -150,6 +155,8 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {', '.join(EXPERIMENTS)}, got {self.experiment!r}")
         if not self.out_dir:
             raise ValueError("out_dir must be a non-empty path")
+        if "\0" in self.out_dir:
+            raise ValueError("out_dir must not contain a NUL character")
 
 
 #: stands in for a value that failed its check while parsing goes on
@@ -237,6 +244,42 @@ def _convert(hint, raw, label: str, problems: list[str]):
     return raw
 
 
+def harvest_files(cfg: ExperimentConfig) -> list[tuple[str, list[SweepSpec]]]:
+    """Each harvest CSV the experiment writes, with the sweeps whose rows it holds, in order.
+
+    Experiments that write no harvest CSV get an empty list.
+    """
+    base = cfg.base
+    if cfg.experiment == "fig2":
+        specs = []
+        for eps in cfg.fig2.eps_values:
+            fixed = replace(base, system="lorenz", scaling=ScalingFactors(eps, eps, eps))
+            specs.append(SweepSpec("r", cfg.fig2.r_values, fixed))
+        return [("fig2.csv", specs)]
+    if cfg.experiment == "fig3":
+        f3 = cfg.fig3
+        # one orbit per point, drawn from the zero-width box at p_in
+        box = tuple((float(v), float(v)) for v in f3.p_in)
+        ensemble = replace(base.ensemble, n_realizations=f3.n_realizations, init_box=box)
+        files = []
+        for sigma, eps in itertools.product(f3.sigma_values, f3.eps_values):
+            lorenz, scaling = replace(base.lorenz, sigma=sigma), ScalingFactors(eps, eps, eps)
+            fixed = replace(base, system="lorenz", lorenz=lorenz, scaling=scaling, ensemble=ensemble)
+            files.append((f"fig3_sigma{sigma:g}_eps{eps:g}.csv", [SweepSpec("r", f3.r_values, fixed)]))
+        return files
+    if cfg.experiment == "fig4":
+        f4 = cfg.fig4
+        waveforms = (
+            [replace(base, system="lorenz", lorenz=replace(base.lorenz, r=r)) for r in f4.lorenz_r_values]
+            + [replace(base, system="henon", henon=HenonParams(g, d)) for g, d in f4.henon_params]
+            + [replace(base, system="multisine", n_tones=n) for n in f4.n_tones_values]
+        )
+        return [("fig4.csv", [SweepSpec("pt_dbm", f4.pt_dbm_values, w) for w in waveforms])]
+    if cfg.experiment == "sweep":
+        return [("sweep.csv", [SweepSpec(cfg.sweep.parameter, cfg.sweep.values, base)])]
+    return []
+
+
 def _cross_block(cfg: ExperimentConfig) -> list[str]:
     """Violations of the rules that tie blocks together, for the chosen experiment."""
     base, problems = cfg.base, []
@@ -254,11 +297,10 @@ def _cross_block(cfg: ExperimentConfig) -> list[str]:
             for value in cfg.sweep.values:
                 if exc := _reason(patched_config, base, parameter, value):
                     problems.append(f"sweep.values: {exc}")
-    # the systems whose ensembles draw from ensemble.init_box
-    systems = {"fig2": ("lorenz",), "fig4": ("lorenz", "henon"), "sweep": (base.system,)}
-    for system in systems.get(cfg.experiment, ()):
-        if system in STATE_DIM and (exc := _reason(initial_box, replace(base, system=system))):
-            problems.append(f"ensemble.init_box: {exc}")
+    # every ensemble the run will draw; each distinct problem once
+    drawn = [spec.fixed for _, specs in harvest_files(cfg) for spec in specs]
+    reasons = [exc for fixed in drawn if fixed.system in STATE_DIM and (exc := _reason(initial_box, fixed))]
+    problems.extend(dict.fromkeys(f"ensemble.init_box: {exc}" for exc in reasons))
     return problems
 
 
@@ -280,8 +322,13 @@ def validate_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r") as fh:
-        return validate_config(fh.read())
+    """Read and validate a config file, which is UTF-8 whatever the locale."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError([f"not valid UTF-8: {exc}"]) from None
+    return validate_config(text)
 
 
 def to_document(cfg):

@@ -219,8 +219,11 @@ def unscale_state(state: Sequence[float], scaling: ScalingFactors) -> np.ndarray
 
 
 def block_rows(dim: int, width: int) -> int:
-    """Samples per block when ``width`` orbits of dimension ``dim`` advance together."""
-    return max(1, min(_BLOCK_ROWS_MAX, _BLOCK_BYTES // (8 * dim * width)))
+    """Samples per block when ``width`` orbits of dimension ``dim`` advance together.
+
+    At least two, so that an in-place step never writes the block row it reads.
+    """
+    return max(2, min(_BLOCK_ROWS_MAX, _BLOCK_BYTES // (8 * dim * width)))
 
 
 def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_DIVERGENCE_BOUND):

@@ -36,6 +36,9 @@ SATURATION_RATIO = 10.0
 #: relative slack on the m4 >= m2^2 check, absorbing floating-point round-off
 _MOMENT_SLACK = 1e-9
 
+#: samples per period of the multisine baseline, for its moments and its PAPR
+MULTISINE_SAMPLES = 10_000
+
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -174,12 +177,7 @@ def lorenz_steady_moments(params: LorenzParams, scaling: ScalingFactors = UNIT_S
     return m2, m2 * m2
 
 
-def eta_scaled_lorenz(
-    params: LorenzParams,
-    scaling: ScalingFactors,
-    coeff: HarvestCoefficients,
-    fading: FadingMoments = NO_FADING,
-) -> float:
+def eta_scaled_lorenz(params: LorenzParams, scaling: ScalingFactors, coeff: HarvestCoefficients) -> float:
     """Predicted DC for the scaled flow in its stable regime."""
     if not hurwitz_stable(params).stable:
         raise UnstableRegimeError(
@@ -187,23 +185,15 @@ def eta_scaled_lorenz(
             f"r={params.r:g}, beta={params.beta:g}"
         )
     m2, m4 = lorenz_steady_moments(params, scaling)
-    return dc_from_moments(m2, m4, with_fading(coeff, fading))
+    return dc_from_moments(m2, m4, coeff)
 
 
-def eta_ideal_lorenz(
-    params: LorenzParams,
-    coeff: HarvestCoefficients,
-    fading: FadingMoments = NO_FADING,
-) -> float:
+def eta_ideal_lorenz(params: LorenzParams, coeff: HarvestCoefficients) -> float:
     """Predicted DC for the unscaled flow (all scaling factors equal to 1)."""
-    return eta_scaled_lorenz(params, UNIT_SCALING, coeff, fading)
+    return eta_scaled_lorenz(params, UNIT_SCALING, coeff)
 
 
-def eta_henon(
-    params: HenonParams,
-    coeff: HarvestCoefficients,
-    fading: FadingMoments = NO_FADING,
-) -> float:
+def eta_henon(params: HenonParams, coeff: HarvestCoefficients) -> float:
     """Predicted DC for the map once settled on its attracting fixed point."""
     if not henon_stable(params).stable:
         raise UnstableRegimeError(
@@ -211,7 +201,7 @@ def eta_henon(
         )
     x = henon_fixed_point(params)[0]
     m2 = x * x
-    return dc_from_moments(m2, m2 * m2, with_fading(coeff, fading))
+    return dc_from_moments(m2, m2 * m2, coeff)
 
 
 def lorenz_beats_henon(lorenz: LorenzParams, henon: HenonParams) -> bool:
@@ -245,18 +235,24 @@ def papr(traj: Trajectory, component: int | str = 0) -> float:
     return waveform_papr_db(traj.steady_samples[:, idx])
 
 
-def multisine_waveform(n_tones: int, n_samples: int) -> np.ndarray:
-    """One period of the N-tone equal-amplitude multisine, unit average power."""
+def check_tones(n_tones: int, n_samples: int = MULTISINE_SAMPLES) -> None:
+    """Raise ValueError unless ``n_samples`` per period resolve ``n_tones`` tones (2n + 1 <= samples)."""
     if n_tones < 1:
         raise ValueError("n_tones must be >= 1")
     if n_samples < 2 * n_tones + 1:
-        raise ValueError("n_samples too small to resolve the highest tone")
+        most = (n_samples - 1) // 2
+        raise ValueError(f"{n_samples} samples per period resolve at most {most} tones, got {n_tones}")
+
+
+def multisine_waveform(n_tones: int, n_samples: int) -> np.ndarray:
+    """One period of the N-tone equal-amplitude multisine, unit average power."""
+    check_tones(n_tones, n_samples)
     t = np.arange(n_samples) / n_samples
     phases = 2.0 * np.pi * np.outer(np.arange(1, n_tones + 1), t)
     return math.sqrt(2.0 / n_tones) * np.cos(phases).sum(axis=0)
 
 
-def multisine_moments(n_tones: int, samples_per_period: int = 10_000) -> tuple[float, float]:
+def multisine_moments(n_tones: int, samples_per_period: int = MULTISINE_SAMPLES) -> tuple[float, float]:
     """(m2, m4) of the multisine by rectangle-rule quadrature over one period."""
     s = multisine_waveform(n_tones, samples_per_period)
     p = s * s

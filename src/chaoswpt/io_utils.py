@@ -12,6 +12,8 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
+
 #: column order of the harvest/sweep CSV emitted by the experiment runner
 HARVEST_HEADER = [
     "system",
@@ -30,6 +32,9 @@ HARVEST_HEADER = [
 ]
 
 SCAN_HEADER = ["sigma", "beta", "r", "stable", "minor1", "minor2", "minor3"]
+
+#: trajectory rows formatted by one ``%``
+_TEXT_ROWS = 2048
 
 
 def fmt_value(v) -> str:
@@ -70,17 +75,19 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 def trajectory_csv(traj) -> str:
     """Serialize a Trajectory: ``t,x,y,z`` for flows, ``n,x,y`` for maps."""
     samples = traj.samples
-    if samples.shape[1] == 3:
-        lines = ["t,x,y,z"]
-        for k, row in enumerate(samples):
-            lines.append(
-                "%.17g,%.17g,%.17g,%.17g" % (k * traj.dt, row[0], row[1], row[2])
-            )
+    n, dim = samples.shape
+    if dim == 3:
+        head, row, first = "t,x,y,z\n", "%.17g,%.17g,%.17g,%.17g\n", np.arange(n) * traj.dt
     else:
-        lines = ["n,x,y"]
-        for k, row in enumerate(samples):
-            lines.append("%d,%.17g,%.17g" % (k, row[0], row[1]))
-    return "\n".join(lines) + "\n"
+        head, row, first = "n,x,y\n", "%d,%.17g,%.17g\n", np.arange(n)
+    table = np.column_stack((first, samples))
+    # one % per block of rows, over the row format repeated; the block bounds
+    # how many floats are alive at once
+    parts = [head]
+    for i in range(0, n, _TEXT_ROWS):
+        block = table[i:i + _TEXT_ROWS]
+        parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def harvest_row(result) -> list:

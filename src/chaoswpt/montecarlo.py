@@ -48,8 +48,10 @@ from .harvest import (
     FadingMoments,
     HarvestReport,
     LinkBudget,
+    MULTISINE_SAMPLES,
     NO_FADING,
     RectennaParams,
+    check_tones,
     coefficients,
     dc_from_moments,
     eta_henon,
@@ -118,8 +120,7 @@ class SystemConfig:
     def __post_init__(self):
         if self.system not in ("lorenz", "henon", "multisine"):
             raise ValueError(f"unknown system {self.system!r}")
-        if self.n_tones < 1:
-            raise ValueError("n_tones must be >= 1")
+        check_tones(self.n_tones)
 
 
 @dataclass(frozen=True)
@@ -401,7 +402,7 @@ def _report(config: SystemConfig, stable: bool, m2: float, m4: float, papr_db) -
 def multisine_result(config: SystemConfig) -> EnsembleResult:
     """Deterministic multisine baseline presented in the same result shape."""
     m2, m4 = multisine_moments(config.n_tones)
-    papr = waveform_papr_db(multisine_waveform(config.n_tones, 10_000))
+    papr = waveform_papr_db(multisine_waveform(config.n_tones, MULTISINE_SAMPLES))
     return EnsembleResult(
         config=config,
         report=_report(config, True, m2, m4, papr),

@@ -1,6 +1,8 @@
 import math
 import os
 import stat
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import chaoswpt
 from chaoswpt import cli
 from chaoswpt.cli import main, run_experiment
 from chaoswpt.config import (
@@ -159,6 +162,12 @@ def test_trajectory_csv_round_trip(std_params):
     assert parsed[0, 0] == 0.0 and parsed[-1, 0] == pytest.approx(0.5, rel=1e-12)
 
 
+def test_trajectory_csv_map_text():
+    # every state of this orbit is a short binary fraction, so the text is exact
+    traj = iterate_henon((0.0, 0.0), HenonParams(0.5, 0.5), n_steps=4)
+    assert trajectory_csv(traj) == "n,x,y\n0,0,0\n1,1,0\n2,0.5,0.5\n3,1.375,0.25\n4,0.3046875,0.6875\n"
+
+
 def test_trajectory_csv_map_header():
     traj = iterate_henon((0.0, 0.0), HenonParams(0.2, 0.1), n_steps=3)
     lines = trajectory_csv(traj).strip().split("\n")
@@ -215,6 +224,45 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "lorenz.beta" in err and "scaling.eps_x" in err
+
+
+@pytest.mark.parametrize(
+    "content,label",
+    [
+        (b"experiment: trajectory\n# caf\xff\n", "not valid UTF-8"),
+        (b'out_dir: "a\\0b"\n', "out_dir"),
+    ],
+    ids=["undecodable", "nul-out-dir"],
+)
+def test_cli_config_the_run_cannot_read_or_write_is_a_config_error(tmp_path, capsys, content, label):
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(content)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n  - ") == 1 and f"\n  - {label}: " in err
+
+
+def test_cli_reads_a_utf8_config_under_an_ascii_locale(tmp_path):
+    doc = "# résumé: two points of the scan\nexperiment: stability-scan\nscan: {r_values: [10, 30]}\n"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(doc, encoding="utf-8")
+    src = str(Path(chaoswpt.__file__).resolve().parents[1])
+    locales = {
+        "ascii": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+        "utf8": {"LC_ALL": "C.UTF-8"},
+    }
+    written = {}
+    for name, env in locales.items():
+        cwd = tmp_path / name
+        cwd.mkdir()
+        run = subprocess.run(
+            [sys.executable, "-m", "chaoswpt", "run", str(cfg), "--out", "out"],
+            cwd=cwd, env={**os.environ, **env, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        written[name] = {p.name: p.read_bytes() for p in (cwd / "out").iterdir()}
+    assert sorted(written["ascii"]) == ["manifest.yaml", "stability_scan.csv"]
+    assert written["ascii"] == written["utf8"]
 
 
 def test_cli_missing_config_exit_code(tmp_path, capsys):
@@ -458,7 +506,7 @@ ensemble: {n_realizations: 5, horizon: 20}
         for res in results
         for pt in f4.pt_dbm_values
     ]
-    assert cli._run_fig4(cfg) == [("fig4.csv", csv_text(HARVEST_HEADER, rows))]
+    assert cli._run_harvest(cfg) == [("fig4.csv", csv_text(HARVEST_HEADER, rows))]
 
 
 def test_run_experiment_returns_written_paths(tmp_path):
@@ -475,6 +523,7 @@ _INVALID = [
     ("out_dir: ''", "out_dir"),
     ("system: duffing", "system"),
     ("n_tones: 0", "n_tones"),
+    ("n_tones: 5000", "n_tones"),
     ("lorenz: {sigma: 0}", "lorenz.sigma"),
     ("lorenz: {r: -1}", "lorenz.r"),
     ("lorenz: {beta: -1}", "lorenz.beta"),
@@ -517,6 +566,7 @@ _INVALID = [
     ("fig4: {lorenz_r_values: [0]}", "fig4.lorenz_r_values"),
     ("fig4: {henon_params: [[0, 0.1]]}", "fig4.henon_params"),
     ("fig4: {n_tones_values: [0]}", "fig4.n_tones_values"),
+    ("fig4: {n_tones_values: [5000]}", "fig4.n_tones_values"),
     ("sweep: {parameter: volume}", "sweep.parameter"),
     ("sweep: {values: []}", "sweep.values"),
     # rules across blocks
@@ -567,6 +617,7 @@ def test_readme_configuration_block_matches_defaults():
         ("system: henon\nsweep: {parameter: gamma, values: [0]}", "sweep.values"),
         ("system: multisine\nsweep: {parameter: n_tones, values: [0]}", "sweep.values"),
         ("system: multisine\nsweep: {parameter: n_tones, values: [2.5]}", "sweep.values"),
+        ("system: multisine\nsweep: {parameter: n_tones, values: [5000]}", "sweep.values"),
         ("system: henon\nsweep: {parameter: delta, values: [0.1]}\n"
          "ensemble: {init_box: [[0, 1], [0, 1], [0, 1]]}", "ensemble.init_box"),
     ],
@@ -600,6 +651,12 @@ def test_init_box_that_fits_the_run_is_accepted():
     # fig3 draws from a box around its own p_in, and a trajectory has no ensemble
     validate_config("experiment: fig3\nensemble: {init_box: [[0, 1], [0, 1]]}")
     validate_config("experiment: trajectory\nensemble: {init_box: [[0, 1], [0, 1]]}")
+
+
+def test_largest_resolvable_tone_count_is_accepted():
+    validate_config("n_tones: 4999")
+    validate_config("fig4: {n_tones_values: [4999]}")
+    validate_config("experiment: sweep\nsystem: multisine\nsweep: {parameter: n_tones, values: [4999]}")
 
 
 def test_override_rejections_name_the_flag():

@@ -161,7 +161,7 @@ def test_fading_scales_terms(std_params, std_coeff):
     fading = FadingMoments(m2=2.0, m4=8.0)
     m2, m4 = lorenz_steady_moments(std_params)
     expected = std_coeff.c2 * 2.0 * m2 + std_coeff.c4 * 8.0 * m4
-    assert eta_ideal_lorenz(std_params, std_coeff, fading) == pytest.approx(expected, rel=1e-14)
+    assert eta_ideal_lorenz(std_params, with_fading(std_coeff, fading)) == pytest.approx(expected, rel=1e-14)
 
 
 def test_fading_moments_validation():

@@ -111,6 +111,24 @@ def test_henon_core_equals_textbook_map(width):
     )
 
 
+@pytest.mark.parametrize("dim,width", [(3, 5462), (2, 8193)])
+def test_core_equals_textbook_steps_where_a_block_budget_holds_one_row(dim, width):
+    # from these widths on, a block's byte budget alone would hold one sample row
+    if dim == 3:
+        scaling = ScalingFactors(2.0, 3.0, 5.0)
+        step, oracle = lorenz_step(CHAOTIC, scaling), lambda s: oracle_rk4(s, DT, CHAOTIC, scaling)
+    else:
+        scaling, step, oracle = None, henon(HENON), lambda s: oracle_henon(s, HENON)
+    state = start(dim, width, scaling, seed=width)
+    expected = tuple(state.copy())
+    for k0, samples, bad in sample_blocks(step, state, 9):
+        assert bad is None
+        for i, got in enumerate(samples):
+            if k0 + i:
+                expected = oracle(expected)
+            assert all(np.array_equal(got[j], expected[j]) for j in range(dim)), k0 + i
+
+
 def test_public_integrators_equal_textbook_steps():
     eps = ScalingFactors(6.0, 6.0, 6.0)
     traj = integrate_lorenz((0.5, -1.0, 4.0), CHAOTIC, eps, dt=DT, horizon=2.5)
