@@ -1,0 +1,113 @@
+"""The compiled Lorenz RK4 step (``_rk4.c``), built and loaded on first use.
+
+The package ships the C source, not a binary.  :func:`kernel` compiles it with
+the system's ``cc`` into ``$XDG_CACHE_HOME/chaoswpt`` (``~/.cache/chaoswpt``
+when unset), or into a per-user directory under the system temp dir when that
+one is unusable.  The library's name carries a hash of the source, the flags
+and the machine, so a changed source builds afresh; it is written under a
+temporary name and renamed into place, so processes building at once do not
+clash.  Without a compiler, or when the build or load fails, :func:`kernel`
+warns once and returns None, and :func:`chaoswpt.dynamics.rk4_step` keeps
+stepping through numpy, with the same results.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import tempfile
+import warnings
+from pathlib import Path
+
+from .errors import CompiledKernelWarning
+
+SOURCE = Path(__file__).with_name("_rk4.c")
+#: no contraction into fused multiply-adds and no -ffast-math: every operation
+#: rounds as numpy's does
+CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_COMPILE_TIMEOUT_S = 120
+
+
+@functools.cache
+def kernel():
+    """``chaoswpt_lorenz_rk4`` as a ctypes function, or None after one warning."""
+    try:
+        source = SOURCE.read_bytes()
+        path = library_path(source)
+        try:
+            return _load(path)
+        except (OSError, AttributeError):
+            pass  # not built yet, or a corrupt or foreign file: build it once more
+        return _build(source, path)
+    except (OSError, AttributeError) as exc:
+        warnings.warn(
+            f"compiled RK4 kernel unavailable ({exc}); ensembles step through numpy, "
+            "with the same results but slower",
+            CompiledKernelWarning,
+            stacklevel=2,
+        )
+        return None
+
+
+def library_path(source: bytes) -> str:
+    """Where the library built from ``source`` is cached."""
+    key = hashlib.sha256(b"\0".join(
+        [source, " ".join(CFLAGS).encode(), platform.machine().encode()])).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"_rk4-{key}.so")
+
+
+def _cache_dir() -> str:
+    """The first cache directory that exists or can be made, is ours and is writable.
+
+    A directory another user owns or can write to is skipped: a library
+    planted there would run in this process.
+    """
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    candidates = [os.path.join(base, "chaoswpt"),
+                  os.path.join(tempfile.gettempdir(), f"chaoswpt-{os.getuid()}")]
+    for path in candidates:
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            st = os.stat(path)
+        except OSError:
+            continue
+        if st.st_uid == os.getuid() and not st.st_mode & 0o022 and os.access(path, os.W_OK | os.X_OK):
+            return path
+    raise OSError(f"no usable cache directory among {', '.join(candidates)}")
+
+
+def _build(source: bytes, path: str):
+    """Compile ``source``, load the result and move it to ``path``.
+
+    The library is loaded under its temporary name: the dynamic loader would
+    hand back a library it already opened under ``path``.
+    """
+    # only a build needs subprocess; a run that loads the cached library skips its import
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        try:
+            subprocess.run(["cc", *CFLAGS, "-x", "c", "-o", tmp, "-"], input=source,
+                           capture_output=True, check=True, timeout=_COMPILE_TIMEOUT_S)
+        except subprocess.CalledProcessError as exc:
+            raise OSError(f"cc failed: {exc.stderr.decode(errors='replace').strip()}") from exc
+        except subprocess.TimeoutExpired as exc:
+            raise OSError(f"cc took over {_COMPILE_TIMEOUT_S} s") from exc
+        fn = _load(tmp)
+        os.replace(tmp, path)
+        return fn
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _load(path: str):
+    fn = ctypes.CDLL(path).chaoswpt_lorenz_rk4
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t] + [ctypes.c_double] * 8
+    fn.restype = None
+    return fn

@@ -15,8 +15,10 @@ map x' = y + 1 - gamma*x^2, y' = delta*x.
 Integration is fixed-step classical fourth-order Runge-Kutta so that runs are
 bit-reproducible for a given (initial point, dt, horizon).  One time-blocked
 core, :func:`sample_blocks`, advances every orbit: single orbits step as Python
-floats, ensembles step in place as numpy arrays, and both run the same
-arithmetic in the same order.
+floats, ensembles step in place, and all paths run the same arithmetic in the
+same order.  An ensemble's Lorenz step runs a small C function (``_rk4.c``)
+that :mod:`chaoswpt._rk4` compiles on first use; without a compiler it runs as
+numpy ``out=`` ufuncs, with the same results.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _rk4
 from .errors import DivergenceError
 
 DEFAULT_DT = 1e-3
@@ -37,7 +40,8 @@ DEFAULT_TRANSIENT_FRACTION = 0.5
 STATE_DIM = {"lorenz": 3, "henon": 2}
 
 #: length of the ``work`` list of the in-place steps: the new state's
-#: components first, then scratch
+#: components first, then scratch.  A list from :func:`sample_blocks` holds one
+#: more entry, the addresses its block row steps from and into.
 WORK_ROWS = 10
 
 #: bytes of samples one block of an ensemble holds; sets the block length
@@ -151,8 +155,10 @@ def rk4_step(x, y, z, dt, consts, work=None):
     """One classical Runge-Kutta step; scalar and array components share this path.
 
     With ``work``, a list of WORK_ROWS preallocated arrays shaped like ``x``,
-    the step runs in place through ``out=`` ufuncs in the same operation
-    order, writes the new state into ``work[0:3]`` and returns those arrays.
+    the step runs in place in the same operation order, writes the new state
+    into ``work[0:3]`` and returns those arrays.  When ``work`` comes from
+    :func:`sample_blocks` and (x, y, z) is the block row it names, the
+    compiled kernel takes the step; otherwise ``out=`` ufuncs do.
     """
     h = 0.5 * dt
     w = dt / 6.0
@@ -166,6 +172,12 @@ def rk4_step(x, y, z, dt, consts, work=None):
             y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
             z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
         )
+    kernel = _rk4.kernel()
+    if kernel is not None and len(work) > WORK_ROWS:
+        src, src_addr, dst_addr = work[WORK_ROWS]
+        if src[0] is x and src[1] is y and src[2] is z:
+            kernel(src_addr, dst_addr, x.size, dt, *consts)
+            return work[0:3]
     # the new state's rows carry each stage's input until the final update
     new, acc, k, tmp = work[0:3], work[3:6], work[6:9], work[9]
     state = (x, y, z)
@@ -233,7 +245,9 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     maps the components of a state to those of the next one: rk4_step or
     henon_step with the system's parameters bound.  At width 1 the components
     are Python floats and ``work`` is None; wider states step in place, with
-    ``work`` a list of WORK_ROWS arrays whose first ``dim`` receive the result.
+    ``work`` a list of WORK_ROWS arrays whose first ``dim`` receive the result,
+    and one more entry: the components of the block row ``s`` should be, and
+    the addresses of that row and of the row the result goes into.
 
     Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
     holds the samples k0 .. k0 + m - 1; the first block is the initial state
@@ -251,10 +265,20 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     if width == 1:
         s = tuple(float(v) for v in state[:, 0])
     else:
-        block = np.empty((min(rows, max(n_steps, 1)), dim, width))
+        # step i of a block reads row (i - 1) mod R and writes row i; the start
+        # is copied into the last row, so the first step reads it like the rest
+        block = np.empty((min(rows, max(n_steps, 2)), dim, width))
+        block[-1] = state
         scratch = list(np.empty((WORK_ROWS - dim, width)))
-        works = [list(row) + scratch for row in block]
-        s = list(state)
+        comps = [list(row) for row in block]
+        base, stride = block.ctypes.data, block.strides[0]
+        # each work list names its source row and both rows' addresses, looked
+        # up once here: a per-step lookup costs as much as half a C step
+        works = []
+        for i, row in enumerate(comps):
+            step_rows = (comps[i - 1], base + (i - 1) % len(comps) * stride, base + i * stride)
+            works.append(row + scratch + [step_rows])
+        s = works[-1][:dim]
     k0 = 1
     while k0 <= n_steps:
         m = min(rows, n_steps + 1 - k0)

@@ -47,3 +47,7 @@ class ConfigError(ChaosWptError):
 
 class SaturationWarning(UserWarning):
     """The fourth-moment term dominates the DC estimate; the quartic model is suspect."""
+
+
+class CompiledKernelWarning(UserWarning):
+    """The compiled RK4 step could not be built or loaded; ensembles step through numpy."""

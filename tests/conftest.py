@@ -1,5 +1,6 @@
 import pytest
 
+from chaoswpt import _rk4
 from chaoswpt.dynamics import LorenzParams, ScalingFactors
 from chaoswpt.harvest import LinkBudget, RectennaParams, coefficients
 
@@ -19,3 +20,22 @@ def eps6():
 def std_coeff():
     """Coefficients for the default link budget (30 dBm, 20 m, alpha=4)."""
     return coefficients(LinkBudget(), RectennaParams())
+
+
+@pytest.fixture
+def numpy_rk4(monkeypatch):
+    """Force the numpy path of the in-place Lorenz step: the loader finds no kernel."""
+    monkeypatch.setattr(_rk4, "kernel", lambda: None)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def rk4_path(request):
+    """Run the test once on each path of the in-place Lorenz step.
+
+    The compiled run is skipped where the kernel cannot be built.
+    """
+    if request.param == "numpy":
+        request.getfixturevalue("numpy_rk4")
+    elif _rk4.kernel() is None:
+        pytest.skip("the compiled RK4 kernel cannot be built here")
+    return request.param

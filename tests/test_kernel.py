@@ -3,7 +3,8 @@
 The oracles below are the schoolbook RK4 and Henon updates, returning fresh
 tuples; they work on Python floats and, elementwise, on numpy arrays.  Every
 state the core yields must equal theirs exactly, on the float path (width 1)
-and the in-place array path (wider), across block boundaries.
+and the in-place array paths (wider: the compiled Lorenz step where it builds,
+numpy ``out=`` ufuncs otherwise and for the map), across block boundaries.
 """
 
 import warnings
@@ -92,16 +93,30 @@ def assert_core_matches(step, oracle, state):
     assert seen == n_steps + 1
 
 
-@pytest.mark.parametrize("width", [1, 3, 1000])
-@pytest.mark.parametrize("eps", [(1.0, 1.0, 1.0), (6.0, 6.0, 6.0), (2.0, 3.0, 5.0)])
-def test_lorenz_core_equals_textbook_rk4(width, eps):
-    # unequal factors make every coefficient of the scaled field differ from 1
+# unequal factors make every coefficient of the scaled field differ from 1
+EPS = [(1.0, 1.0, 1.0), (6.0, 6.0, 6.0), (2.0, 3.0, 5.0)]
+
+
+def assert_lorenz_core_matches(width, eps):
     scaling = ScalingFactors(*eps)
     assert_core_matches(
         lorenz_step(CHAOTIC, scaling),
         lambda s: oracle_rk4(s, DT, CHAOTIC, scaling),
         start(3, width, scaling, seed=width),
     )
+
+
+# at width 5462 a block holds two rows, so the steps alternate between them
+@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
+@pytest.mark.parametrize("eps", EPS)
+def test_lorenz_core_equals_textbook_rk4(width, eps):
+    assert_lorenz_core_matches(width, eps)
+
+
+@pytest.mark.parametrize("width", [3, 1000, 5462])
+@pytest.mark.parametrize("eps", EPS)
+def test_lorenz_core_on_the_numpy_path_equals_textbook_rk4(numpy_rk4, width, eps):
+    assert_lorenz_core_matches(width, eps)
 
 
 @pytest.mark.parametrize("width", [1, 3, 1000])
@@ -151,18 +166,24 @@ def _orbit(oracle, s, n):
     return out
 
 
-def _record_start(orbit, k):
-    """A start whose k-th step sets a record magnitude, and a bound just under it.
+def _record(orbit, k):
+    """The first index j >= k whose magnitude exceeds those of the k - 1 before it.
 
-    Returns (start, bound): from ``start``, steps 1 .. k-1 stay within
-    ``bound`` and step k exceeds it.
+    Returns (j, bound), the bound between the two: from ``orbit[j - i]``, for
+    any i <= k, steps 1 .. i-1 stay within ``bound`` and step i exceeds it.
     """
     mags = [max(abs(c) for c in s) for s in orbit]
     for j in range(k, len(orbit)):
         before = max(mags[j - k + 1:j])
         if mags[j] > before:
-            return orbit[j - k], 0.5 * (before + mags[j])
+            return j, 0.5 * (before + mags[j])
     raise AssertionError("no record magnitude in the oracle orbit")
+
+
+def _record_start(orbit, k):
+    """A start whose k-th step sets a record magnitude, and a bound just under it."""
+    j, bound = _record(orbit, k)
+    return orbit[j - k], bound
 
 
 def test_divergence_past_the_first_block_keeps_step_and_message():
@@ -181,6 +202,38 @@ def test_divergence_past_the_first_block_keeps_step_and_message():
         iterate_henon(s0, HENON, n_steps=2 * k, divergence_bound=b)
     assert exc.value.step == k
     assert str(exc.value) == f"state magnitude exceeded {b:g} at step {k}"
+
+
+@pytest.mark.parametrize("width", [3, 1000])
+def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
+    # every column starts on one oracle orbit, k steps before a sample that
+    # exceeds the bound for the first time: at step K + 3 (K rows a block),
+    # mid-block, or never; the start is a transposed, strided view
+    scaling = ScalingFactors(2.0, 3.0, 5.0)
+    rows = block_rows(3, width)
+    n_steps = 2 * rows + 5
+    orbit = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, scaling), (1.0, 1.0, 20.0), 8000)
+    j, bound = _record(orbit, n_steps + 1)
+    ks = ([rows + 3, rows + rows // 2, n_steps + 1] + list(range(1, n_steps + 2)) * width)[:width]
+    state = np.array([orbit[j - k] for k in ks]).T
+    assert not state.flags.c_contiguous
+
+    first_bad = [None] * width
+    got = []
+    for k0, samples, bad in sample_blocks(lorenz_step(CHAOTIC, scaling), state, n_steps, bound):
+        got.append(samples.copy())
+        if bad is not None:
+            for c in np.flatnonzero(bad.any(axis=0)):
+                if first_bad[c] is None:
+                    first_bad[c] = k0 + int(np.argmax(bad[:, c]))
+    got = np.concatenate(got)
+    assert first_bad == [k if k <= n_steps else None for k in ks]
+    for c, k in enumerate(ks):
+        expected = np.array(orbit[j - k:j - k + n_steps + 1])
+        if k <= n_steps:
+            # from the block of the first bad sample on, the orbit reads 0
+            expected[1 + (k - 1) // rows * rows:] = 0.0
+        assert np.array_equal(got[:, :, c], expected), (c, k)
 
 
 def test_divergence_is_reported_from_first_bad_sample():

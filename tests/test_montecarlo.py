@@ -276,6 +276,12 @@ def test_ensemble_independent_of_chunk_width(monkeypatch, system):
         _assert_identical(results[0], other)
 
 
+def test_lorenz_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatch, numpy_rk4):
+    # chunks of one orbit step as floats on every path, so the compiled and
+    # numpy steps each equal them bit for bit
+    test_ensemble_independent_of_chunk_width(monkeypatch, "lorenz")
+
+
 def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
     # realizations leave the map's basin at different steps, most of them
     # inside a block; the engine must drop exactly those, quietly
