@@ -1,4 +1,10 @@
-"""The compiled Lorenz RK4 step (``_rk4.c``), built and loaded on first use.
+"""The compiled ensemble loops (``_rk4.c``), built and loaded on first use.
+
+``_rk4.c`` holds the Lorenz RK4 step and an ensemble block's moment, peak and
+power sums, each in the operation order of the numpy code it replaces, so
+every path agrees bit for bit.  Its loops run across orbits at SIMD width; on
+x86-64 with glibc the loader picks the AVX-512, AVX2 or baseline clone the CPU
+runs.
 
 The package ships the C source, not a binary.  :func:`kernel` compiles it with
 the system's ``cc`` into ``$XDG_CACHE_HOME/chaoswpt`` (``~/.cache/chaoswpt``
@@ -7,8 +13,9 @@ one is unusable.  The library's name carries a hash of the source, the flags
 and the machine, so a changed source builds afresh; it is written under a
 temporary name and renamed into place, so processes building at once do not
 clash.  Without a compiler, or when the build or load fails, :func:`kernel`
-warns once and returns None, and :func:`chaoswpt.dynamics.rk4_step` keeps
-stepping through numpy, with the same results.
+warns once and returns None: :func:`chaoswpt.dynamics.rk4_step` steps and
+:func:`chaoswpt.montecarlo.run_ensemble` sums through numpy, with the same
+results.
 """
 
 from __future__ import annotations
@@ -21,19 +28,30 @@ import platform
 import tempfile
 import warnings
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import CompiledKernelWarning
 
 SOURCE = Path(__file__).with_name("_rk4.c")
 #: no contraction into fused multiply-adds and no -ffast-math: every operation
-#: rounds as numpy's does
-CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: rounds as numpy's does; no -march either, the source picks its SIMD clone
+#: when it loads
+CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
 
 
+class Kernel(NamedTuple):
+    """The library's functions, as ctypes functions."""
+
+    #: ``chaoswpt_lorenz_rk4(in, out, n, rates)``
+    step: Callable[..., None]
+    #: ``chaoswpt_block_moments(x, rows, stride, n, c, p, acc)``
+    moments: Callable[..., None]
+
+
 @functools.cache
-def kernel():
-    """``chaoswpt_lorenz_rk4`` as a ctypes function, or None after one warning."""
+def kernel() -> Kernel | None:
+    """The compiled library's functions, or None after one warning."""
     try:
         source = SOURCE.read_bytes()
         path = library_path(source)
@@ -44,8 +62,8 @@ def kernel():
         return _build(source, path)
     except (OSError, AttributeError) as exc:
         warnings.warn(
-            f"compiled RK4 kernel unavailable ({exc}); ensembles step through numpy, "
-            "with the same results but slower",
+            f"compiled ensemble kernel unavailable ({exc}); ensembles step and sum "
+            "through numpy, with the same results but slower",
             CompiledKernelWarning,
             stacklevel=2,
         )
@@ -98,16 +116,21 @@ def _build(source: bytes, path: str):
             raise OSError(f"cc failed: {exc.stderr.decode(errors='replace').strip()}") from exc
         except subprocess.TimeoutExpired as exc:
             raise OSError(f"cc took over {_COMPILE_TIMEOUT_S} s") from exc
-        fn = _load(tmp)
+        found = _load(tmp)
         os.replace(tmp, path)
-        return fn
+        return found
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _load(path: str):
-    fn = ctypes.CDLL(path).chaoswpt_lorenz_rk4
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_size_t] + [ctypes.c_double] * 8
-    fn.restype = None
-    return fn
+def _load(path: str) -> Kernel:
+    """Both functions of the library at ``path``; AttributeError when one is missing."""
+    lib = ctypes.CDLL(path)
+    pointer, size = ctypes.c_void_p, ctypes.c_size_t
+    found = Kernel(lib.chaoswpt_lorenz_rk4, lib.chaoswpt_block_moments)
+    found.step.argtypes = [pointer, pointer, size, pointer]
+    found.moments.argtypes = [pointer, size, size, size, size, size, pointer]
+    for fn in found:
+        fn.restype = None
+    return found

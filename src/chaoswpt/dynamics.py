@@ -17,8 +17,10 @@ bit-reproducible for a given (initial point, dt, horizon).  One time-blocked
 core, :func:`sample_blocks`, advances every orbit: single orbits step as Python
 floats, ensembles step in place, and all paths run the same arithmetic in the
 same order.  An ensemble's Lorenz step runs a small C function (``_rk4.c``)
-that :mod:`chaoswpt._rk4` compiles on first use; without a compiler it runs as
-numpy ``out=`` ufuncs, with the same results.
+that :mod:`chaoswpt._rk4` compiles on first use and that runs across the
+orbits at SIMD width, reading dt and the rate constants through one pointer;
+without a compiler it runs as numpy ``out=`` ufuncs.  Every path agrees bit
+for bit.
 """
 
 from __future__ import annotations
@@ -151,12 +153,30 @@ def lorenz_rates(x, y, z, consts):
     return dx, dy, dz
 
 
-def rk4_step(x, y, z, dt, consts, work=None):
+def lorenz_step(dt: float, consts: tuple):
+    """The flow's ``step(s, work)`` for :func:`sample_blocks`: one :func:`rk4_step`.
+
+    dt and ``consts`` are packed here, once, into the array of doubles the
+    compiled kernel reads them from; looking its address up costs about as
+    much as a C step of a few hundred orbits, so no step does it.
+    """
+    packed = np.array((dt, *consts))
+    rates = (packed, packed.ctypes.data)
+
+    def step(s, work):
+        return rk4_step(s[0], s[1], s[2], dt, consts, work, rates)
+
+    return step
+
+
+def rk4_step(x, y, z, dt, consts, work, rates):
     """One classical Runge-Kutta step; scalar and array components share this path.
 
-    With ``work``, a list of WORK_ROWS preallocated arrays shaped like ``x``,
-    the step runs in place in the same operation order, writes the new state
-    into ``work[0:3]`` and returns those arrays.  When ``work`` comes from
+    ``rates`` holds dt and ``consts`` as :func:`lorenz_step` packs them for
+    the compiled kernel: an array of doubles and its address.  With ``work``,
+    a list of WORK_ROWS preallocated arrays shaped like ``x``, the step runs in
+    place in the same operation order, writes the new state into
+    ``work[0:3]`` and returns those arrays.  When ``work`` comes from
     :func:`sample_blocks` and (x, y, z) is the block row it names, the
     compiled kernel takes the step; otherwise ``out=`` ufuncs do.
     """
@@ -176,7 +196,7 @@ def rk4_step(x, y, z, dt, consts, work=None):
     if kernel is not None and len(work) > WORK_ROWS:
         src, src_addr, dst_addr = work[WORK_ROWS]
         if src[0] is x and src[1] is y and src[2] is z:
-            kernel(src_addr, dst_addr, x.size, dt, *consts)
+            kernel.step(src_addr, dst_addr, x.size, rates[1])
             return work[0:3]
     # the new state's rows carry each stage's input until the final update
     new, acc, k, tmp = work[0:3], work[3:6], work[6:9], work[9]
@@ -333,11 +353,8 @@ def integrate_lorenz(
     Returns:
         Trajectory with floor(horizon/dt) + 1 rows including the initial state.
     """
-    consts = rate_constants(params, scaling)
+    step = lorenz_step(dt, rate_constants(params, scaling))
     n_steps = steps_for_horizon(horizon, dt)
-
-    def step(s, work):
-        return rk4_step(s[0], s[1], s[2], dt, consts, work)
 
     def diverged(k):
         return DivergenceError(f"state magnitude exceeded {divergence_bound:g} at t={k * dt:g}", step=k)

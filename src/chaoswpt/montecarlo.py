@@ -15,9 +15,11 @@ block of consecutive samples at a time, and the bookkeeping runs once per
 block, vectorised over time: the divergence mask, the second/fourth moment,
 peak and power sums (added in step order, so the bits do not depend on the
 block length), and a strided subsample of each realization, stored
-time-major like the blocks.  Settling is detected once per chunk on that
-subsample, with :func:`detect_steady_state`'s rule applied to every
-realization at once.  Full trajectories are never stored.
+time-major like the blocks.  The sums run in the compiled library of
+:mod:`chaoswpt._rk4` where it builds, as numpy ufuncs otherwise; both add in
+the same order, so they agree bit for bit.  Settling is detected once per
+chunk on that subsample, with :func:`detect_steady_state`'s rule applied to
+every realization at once.  Full trajectories are never stored.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _rk4
 from .dynamics import (
     DEFAULT_DT,
     DEFAULT_TRANSIENT_FRACTION,
@@ -37,8 +40,8 @@ from .dynamics import (
     Trajectory,
     UNIT_SCALING,
     henon_step,
+    lorenz_step,
     rate_constants,
-    rk4_step,
     sample_blocks,
     steps_for_horizon,
     transient_cutoff_index,
@@ -253,9 +256,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     if config.system == "lorenz":
         dt = ens.dt
         verdict = hurwitz_stable(config.lorenz)
-        consts = rate_constants(config.lorenz, config.scaling)
-        def step(s, work):
-            return rk4_step(s[0], s[1], s[2], dt, consts, work)
+        step = lorenz_step(dt, rate_constants(config.lorenz, config.scaling))
     else:
         dt = 1.0
         verdict = henon_stable(config.henon)
@@ -281,37 +282,37 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     papr_db = np.full(n, np.nan)
     converged = np.zeros(n, dtype=bool)
     conv_time = np.full(n, np.nan)
+    kernel = _rk4.kernel()
 
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         width = sl.stop - sl.start
         alive = np.ones(width, dtype=bool)
-        s2 = np.zeros(width)
-        s4 = np.zeros(width)
-        pmax = np.zeros(width)
-        psum = np.zeros(width)
+        # (s2, s4, psum, pmax), laid out as chaoswpt_block_moments takes them
+        acc = np.zeros((4, width))
+        sums = tuple(acc)
+        acc_addr = acc.ctypes.data
         det = np.empty((n_det, dim, width))
 
         state = np.ascontiguousarray(pts[sl].T)
         for k0, samples, bad in sample_blocks(step, state, n_steps):
             if bad is not None:
                 alive &= ~bad.any(axis=0)
-            x2 = samples[:, 0] * samples[:, 0]
             # first rows of the block inside the moment and PAPR windows
             c = max(cutoff - k0, 0)
-            if c < x2.shape[0]:
-                s2 = _running_sum(s2, x2[c:])
-                s4 = _running_sum(s4, x2[c:] * x2[c:])
             p = max(papr_start - k0, 0)
-            if p < x2.shape[0]:
-                np.maximum(pmax, x2[p:].max(axis=0), out=pmax)
-                psum = _running_sum(psum, x2[p:])
+            if kernel is not None:
+                # sample_blocks yields C-contiguous (m, dim, width) doubles
+                kernel.moments(samples.ctypes.data, samples.shape[0], dim * width, width, c, p, acc_addr)
+            else:
+                sums = _block_moments(samples, c, p, sums)
             # every stride-th sample, consecutive rows of det
             j = -k0 % stride
             kept = samples[j::stride]
             row = (k0 + j) // stride
             det[row:row + kept.shape[0]] = kept
 
+        s2, s4, psum, pmax = sums
         ok[sl] = alive
         m2[sl] = np.where(alive, s2 / m_count, np.nan)
         m4[sl] = np.where(alive, s4 / m_count, np.nan)
@@ -327,6 +328,24 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         conv_time[sl] = np.where(certified, idx * stride * dt, np.nan)
 
     return _aggregate(config, verdict.stable, ok, m2, m4, papr_db, converged, conv_time)
+
+
+def _block_moments(samples: np.ndarray, c: int, p: int, sums: tuple) -> tuple:
+    """The sums ``(s2, s4, psum, pmax)`` after one block, as ``chaoswpt_block_moments`` gives them.
+
+    From row ``c`` of ``samples`` on, the first component's square is added
+    into s2 and its square's square into s4; from row ``p`` on, the square is
+    added into psum and raises pmax.
+    """
+    s2, s4, psum, pmax = sums
+    x2 = samples[:, 0] * samples[:, 0]
+    if c < x2.shape[0]:
+        s2 = _running_sum(s2, x2[c:])
+        s4 = _running_sum(s4, x2[c:] * x2[c:])
+    if p < x2.shape[0]:
+        np.maximum(pmax, x2[p:].max(axis=0), out=pmax)
+        psum = _running_sum(psum, x2[p:])
+    return s2, s4, psum, pmax
 
 
 def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -24,15 +24,18 @@ def std_coeff():
 
 @pytest.fixture
 def numpy_rk4(monkeypatch):
-    """Force the numpy path of the in-place Lorenz step: the loader finds no kernel."""
+    """Force the numpy paths of the in-place Lorenz step and of an ensemble's block sums.
+
+    The loader finds no compiled library, so neither of its functions runs.
+    """
     monkeypatch.setattr(_rk4, "kernel", lambda: None)
 
 
 @pytest.fixture(params=["compiled", "numpy"])
 def rk4_path(request):
-    """Run the test once on each path of the in-place Lorenz step.
+    """Run the test once on the compiled library and once on the numpy paths.
 
-    The compiled run is skipped where the kernel cannot be built.
+    The compiled run is skipped where the library cannot be built.
     """
     if request.param == "numpy":
         request.getfixturevalue("numpy_rk4")

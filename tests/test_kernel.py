@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chaoswpt import dynamics
 from chaoswpt.dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
     HenonParams,
@@ -22,7 +23,6 @@ from chaoswpt.dynamics import (
     integrate_lorenz,
     iterate_henon,
     rate_constants,
-    rk4_step,
     sample_blocks,
 )
 from chaoswpt.errors import DivergenceError
@@ -57,8 +57,7 @@ def oracle_henon(s, params):
 
 
 def lorenz_step(params, eps):
-    consts = rate_constants(params, eps)
-    return lambda s, work: rk4_step(s[0], s[1], s[2], DT, consts, work)
+    return dynamics.lorenz_step(DT, rate_constants(params, eps))
 
 
 def henon(params):

@@ -255,8 +255,9 @@ def _assert_identical(a, b):
 
 @pytest.mark.parametrize("system", ["lorenz", "henon"])
 def test_ensemble_independent_of_chunk_width(monkeypatch, system):
-    # chunks of one step as Python floats, wider ones in place as arrays;
-    # a block of 2000 orbits is summed row by row, narrower ones accumulated
+    # chunks of one step as Python floats, wider ones in place as arrays; on
+    # the numpy path a block of 2000 orbits is summed row by row, narrower
+    # ones accumulated
     if system == "lorenz":
         n = 12
         cfg = replace(_lorenz_cfg(n=n), ensemble=EnsembleConfig(n_realizations=n, dt=0.01, horizon=30.0))
@@ -280,6 +281,11 @@ def test_lorenz_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatc
     # chunks of one orbit step as floats on every path, so the compiled and
     # numpy steps each equal them bit for bit
     test_ensemble_independent_of_chunk_width(monkeypatch, "lorenz")
+
+
+def test_henon_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatch, numpy_rk4):
+    # the map steps through numpy on every path; its block sums do not
+    test_ensemble_independent_of_chunk_width(monkeypatch, "henon")
 
 
 def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
@@ -312,6 +318,10 @@ def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
     assert res.n_diverged == 300 - len(m2)
     for got, values in ((res.m2_mean, m2), (res.m4_mean, m4)):
         assert got == float(np.mean(values))
+
+
+def test_ensemble_divergence_inside_a_block_on_the_numpy_path_matches_oracle_loop(numpy_rk4):
+    test_ensemble_divergence_inside_a_block_matches_oracle_loop()
 
 
 def test_ensemble_chaotic_regime(std_params):
