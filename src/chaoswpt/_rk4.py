@@ -13,9 +13,9 @@ one is unusable.  The library's name carries a hash of the source, the flags
 and the machine, so a changed source builds afresh; it is written under a
 temporary name and renamed into place, so processes building at once do not
 clash.  Without a compiler, or when the build or load fails, :func:`kernel`
-warns once and returns None: :func:`chaoswpt.dynamics.rk4_step` steps and
-:func:`chaoswpt.montecarlo.run_ensemble` sums through numpy, with the same
-results.
+warns once and returns None: :func:`chaoswpt.dynamics.rk4_step` takes the
+textbook step on the chunk's arrays and :func:`chaoswpt.montecarlo.run_ensemble`
+adds the sums with ``_block_moments``, with the same results.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ def kernel() -> Kernel | None:
         return _build(source, path)
     except (OSError, AttributeError) as exc:
         warnings.warn(
-            f"compiled ensemble kernel unavailable ({exc}); ensembles step and sum "
-            "through numpy, with the same results but slower",
+            f"compiled ensemble kernel unavailable ({exc}); ensembles take the textbook "
+            "Lorenz step and add their block sums through numpy, with the same results but slower",
             CompiledKernelWarning,
             stacklevel=2,
         )

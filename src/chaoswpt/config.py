@@ -241,6 +241,13 @@ def _convert(hint, raw, label: str, problems: list[str]):
     if isinstance(raw, bool) or not isinstance(raw, (int, float) if hint is float else hint):
         problems.append(f"{label}: must be {_NOUNS[hint]}")
         return _BAD
+    if hint is float and isinstance(raw, int):
+        # kept an int, so that its manifest bytes do not change
+        try:
+            float(raw)
+        except OverflowError:
+            problems.append(f"{label}: must be a number within double range")
+            return _BAD
     return raw
 
 

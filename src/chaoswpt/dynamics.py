@@ -19,8 +19,8 @@ floats, ensembles step in place, and all paths run the same arithmetic in the
 same order.  An ensemble's Lorenz step runs a small C function (``_rk4.c``)
 that :mod:`chaoswpt._rk4` compiles on first use and that runs across the
 orbits at SIMD width, reading dt and the rate constants through one pointer;
-without a compiler it runs as numpy ``out=`` ufuncs.  Every path agrees bit
-for bit.
+without a compiler the textbook step, the one single orbits take, runs on the
+chunk's arrays and is copied into the block.  Every path agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ DEFAULT_TRANSIENT_FRACTION = 0.5
 
 #: state components of each source
 STATE_DIM = {"lorenz": 3, "henon": 2}
-
-#: length of the ``work`` list of the in-place steps: the new state's
-#: components first, then scratch.  A list from :func:`sample_blocks` holds one
-#: more entry, the addresses its block row steps from and into.
-WORK_ROWS = 10
 
 #: bytes of samples one block of an ensemble holds; sets the block length
 _BLOCK_BYTES = 1 << 18
@@ -174,58 +169,33 @@ def rk4_step(x, y, z, dt, consts, work, rates):
 
     ``rates`` holds dt and ``consts`` as :func:`lorenz_step` packs them for
     the compiled kernel: an array of doubles and its address.  With ``work``,
-    a list of WORK_ROWS preallocated arrays shaped like ``x``, the step runs in
-    place in the same operation order, writes the new state into
-    ``work[0:3]`` and returns those arrays.  When ``work`` comes from
-    :func:`sample_blocks` and (x, y, z) is the block row it names, the
-    compiled kernel takes the step; otherwise ``out=`` ufuncs do.
+    a block row's component arrays and its (source row, addresses) entry from
+    :func:`sample_blocks`, the new state goes into ``work[0:3]`` and those
+    arrays are returned: the compiled kernel writes it when (x, y, z) is the
+    source row, and otherwise the textbook step below is copied in.
     """
-    h = 0.5 * dt
-    w = dt / 6.0
-    if work is None:
-        k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
-        k2x, k2y, k2z = lorenz_rates(x + h * k1x, y + h * k1y, z + h * k1z, consts)
-        k3x, k3y, k3z = lorenz_rates(x + h * k2x, y + h * k2y, z + h * k2z, consts)
-        k4x, k4y, k4z = lorenz_rates(x + dt * k3x, y + dt * k3y, z + dt * k3z, consts)
-        return (
-            x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-            z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-        )
-    kernel = _rk4.kernel()
-    if kernel is not None and len(work) > WORK_ROWS:
-        src, src_addr, dst_addr = work[WORK_ROWS]
-        if src[0] is x and src[1] is y and src[2] is z:
+    if work is not None:
+        kernel = _rk4.kernel()
+        src, src_addr, dst_addr = work[3]
+        if kernel is not None and src[0] is x and src[1] is y and src[2] is z:
             kernel.step(src_addr, dst_addr, x.size, rates[1])
             return work[0:3]
-    # the new state's rows carry each stage's input until the final update
-    new, acc, k, tmp = work[0:3], work[3:6], work[6:9], work[9]
-    state = (x, y, z)
-    _lorenz_rates_into(x, y, z, consts, acc, tmp)
-    for c, a, n in zip(state, acc, new):
-        np.add(c, np.multiply(h, a, out=n), out=n)
-    # k2 and k3 enter the sum doubled, k4 once; k4 feeds no further stage
-    for stage_dt in (h, dt, None):
-        _lorenz_rates_into(*new, consts, k, tmp)
-        for c, a, kc, n in zip(state, acc, k, new):
-            if stage_dt is not None:
-                np.add(c, np.multiply(stage_dt, kc, out=n), out=n)
-                np.multiply(2.0, kc, out=kc)
-            np.add(a, kc, out=a)
-    for c, a, n in zip(state, acc, new):
-        np.add(c, np.multiply(w, a, out=a), out=n)
-    return new
-
-
-def _lorenz_rates_into(x, y, z, consts, out, tmp):
-    """:func:`lorenz_rates` written into the arrays ``out``; ``tmp`` is scratch."""
-    sigma, r, beta, ryx, rxy, ez, rxyz = consts
-    dx, dy, dz = out
-    np.multiply(sigma, np.subtract(np.multiply(ryx, y, out=dx), x, out=dx), out=dx)
-    np.subtract(r, np.multiply(ez, z, out=tmp), out=tmp)
-    np.subtract(np.multiply(np.multiply(rxy, x, out=dy), tmp, out=dy), y, out=dy)
-    np.multiply(beta, z, out=tmp)
-    np.subtract(np.multiply(np.multiply(rxyz, x, out=dz), y, out=dz), tmp, out=dz)
+    h = 0.5 * dt
+    w = dt / 6.0
+    k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
+    k2x, k2y, k2z = lorenz_rates(x + h * k1x, y + h * k1y, z + h * k1z, consts)
+    k3x, k3y, k3z = lorenz_rates(x + h * k2x, y + h * k2y, z + h * k2z, consts)
+    k4x, k4y, k4z = lorenz_rates(x + dt * k3x, y + dt * k3y, z + dt * k3z, consts)
+    new = (
+        x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+        y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+        z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
+    )
+    if work is None:
+        return new
+    for row, value in zip(work, new):
+        row[...] = value
+    return work[0:3]
 
 
 def lorenz_derivative(
@@ -265,9 +235,9 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     maps the components of a state to those of the next one: rk4_step or
     henon_step with the system's parameters bound.  At width 1 the components
     are Python floats and ``work`` is None; wider states step in place, with
-    ``work`` a list of WORK_ROWS arrays whose first ``dim`` receive the result,
-    and one more entry: the components of the block row ``s`` should be, and
-    the addresses of that row and of the row the result goes into.
+    ``work`` the ``dim`` component arrays of the block row that receives the
+    result, and one more entry: the components of the block row ``s`` should
+    be, and the addresses of that row and of the row the result goes into.
 
     Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
     holds the samples k0 .. k0 + m - 1; the first block is the initial state
@@ -289,7 +259,6 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
         # is copied into the last row, so the first step reads it like the rest
         block = np.empty((min(rows, max(n_steps, 2)), dim, width))
         block[-1] = state
-        scratch = list(np.empty((WORK_ROWS - dim, width)))
         comps = [list(row) for row in block]
         base, stride = block.ctypes.data, block.strides[0]
         # each work list names its source row and both rows' addresses, looked
@@ -297,7 +266,7 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
         works = []
         for i, row in enumerate(comps):
             step_rows = (comps[i - 1], base + (i - 1) % len(comps) * stride, base + i * stride)
-            works.append(row + scratch + [step_rows])
+            works.append(row + [step_rows])
         s = works[-1][:dim]
     k0 = 1
     while k0 <= n_steps:
@@ -380,16 +349,17 @@ def _collect(step, initial, dim, n_steps, bound, diverged) -> np.ndarray:
 def henon_step(state: Sequence[float], params: HenonParams, work=None) -> tuple[float, float]:
     """One application of the map.
 
-    With ``work``, a list of WORK_ROWS preallocated arrays shaped like the
-    components, the step runs in place in the same operation order, writes
-    the new state into ``work[0:2]`` and returns those arrays.
+    With ``work`` from :func:`sample_blocks`, the step runs in place in the
+    same operation order: it writes the new state into ``work[0:2]``, a block
+    row other than the state's, and returns those arrays.  ``ny`` holds
+    ``gamma * x * x`` until ``nx`` is done.
     """
     x, y = state
     if work is None:
         return y + 1.0 - params.gamma * x * x, params.delta * x
-    nx, ny, tmp = work[0:3]
-    np.multiply(np.multiply(params.gamma, x, out=tmp), x, out=tmp)
-    np.subtract(np.add(y, 1.0, out=nx), tmp, out=nx)
+    nx, ny = work[0:2]
+    np.multiply(np.multiply(params.gamma, x, out=ny), x, out=ny)
+    np.subtract(np.add(y, 1.0, out=nx), ny, out=nx)
     np.multiply(params.delta, x, out=ny)
     return nx, ny
 

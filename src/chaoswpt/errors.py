@@ -50,4 +50,4 @@ class SaturationWarning(UserWarning):
 
 
 class CompiledKernelWarning(UserWarning):
-    """The compiled RK4 step could not be built or loaded; ensembles step through numpy."""
+    """No compiled library: ensembles take the textbook Lorenz RK4 step and add block sums in numpy."""

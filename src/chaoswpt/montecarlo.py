@@ -9,17 +9,17 @@ set to the state ``jumped(i)`` gives before each draw.
 
 Realizations are integrated a chunk at a time by the same time-blocked core
 as single orbits (:func:`chaoswpt.dynamics.sample_blocks`): a chunk of one
-steps as Python floats, a wider chunk steps in place as numpy arrays, and
-both do the same arithmetic in the same order.  The core hands over a small
+steps as Python floats, a wider chunk into a preallocated block, and both do
+the same arithmetic in the same order.  The core hands over a small
 block of consecutive samples at a time, and the bookkeeping runs once per
 block, vectorised over time: the divergence mask, the second/fourth moment,
 peak and power sums (added in step order, so the bits do not depend on the
 block length), and a strided subsample of each realization, stored
 time-major like the blocks.  The sums run in the compiled library of
-:mod:`chaoswpt._rk4` where it builds, as numpy ufuncs otherwise; both add in
-the same order, so they agree bit for bit.  Settling is detected once per
-chunk on that subsample, with :func:`detect_steady_state`'s rule applied to
-every realization at once.  Full trajectories are never stored.
+:mod:`chaoswpt._rk4` where it builds, in :func:`_block_moments` otherwise;
+both add in the same order, so they agree bit for bit.  Settling is detected
+once per chunk on that subsample, with :func:`detect_steady_state`'s rule
+applied to every realization at once.  Full trajectories are never stored.
 """
 
 from __future__ import annotations
@@ -290,7 +290,6 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         alive = np.ones(width, dtype=bool)
         # (s2, s4, psum, pmax), laid out as chaoswpt_block_moments takes them
         acc = np.zeros((4, width))
-        sums = tuple(acc)
         acc_addr = acc.ctypes.data
         det = np.empty((n_det, dim, width))
 
@@ -305,14 +304,14 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
                 # sample_blocks yields C-contiguous (m, dim, width) doubles
                 kernel.moments(samples.ctypes.data, samples.shape[0], dim * width, width, c, p, acc_addr)
             else:
-                sums = _block_moments(samples, c, p, sums)
+                _block_moments(samples, c, p, acc)
             # every stride-th sample, consecutive rows of det
             j = -k0 % stride
             kept = samples[j::stride]
             row = (k0 + j) // stride
             det[row:row + kept.shape[0]] = kept
 
-        s2, s4, psum, pmax = sums
+        s2, s4, psum, pmax = acc
         ok[sl] = alive
         m2[sl] = np.where(alive, s2 / m_count, np.nan)
         m4[sl] = np.where(alive, s4 / m_count, np.nan)
@@ -330,26 +329,26 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     return _aggregate(config, verdict.stable, ok, m2, m4, papr_db, converged, conv_time)
 
 
-def _block_moments(samples: np.ndarray, c: int, p: int, sums: tuple) -> tuple:
-    """The sums ``(s2, s4, psum, pmax)`` after one block, as ``chaoswpt_block_moments`` gives them.
+def _block_moments(samples: np.ndarray, c: int, p: int, acc: np.ndarray) -> None:
+    """Add one block into ``acc``, rows (s2, s4, psum, pmax), as ``chaoswpt_block_moments`` does.
 
     From row ``c`` of ``samples`` on, the first component's square is added
     into s2 and its square's square into s4; from row ``p`` on, the square is
-    added into psum and raises pmax.
+    added into psum and raises pmax.  This is the library's numpy fallback,
+    and the reference its tests check it against.
     """
-    s2, s4, psum, pmax = sums
+    s2, s4, psum, pmax = acc
     x2 = samples[:, 0] * samples[:, 0]
     if c < x2.shape[0]:
-        s2 = _running_sum(s2, x2[c:])
-        s4 = _running_sum(s4, x2[c:] * x2[c:])
+        _running_sum(s2, x2[c:])
+        _running_sum(s4, x2[c:] * x2[c:])
     if p < x2.shape[0]:
         np.maximum(pmax, x2[p:].max(axis=0), out=pmax)
-        psum = _running_sum(psum, x2[p:])
-    return s2, s4, psum, pmax
+        _running_sum(psum, x2[p:])
 
 
-def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``total`` plus each row of ``rows`` in turn.
+def _running_sum(total: np.ndarray, rows: np.ndarray) -> None:
+    """Add each row of ``rows`` into ``total`` in turn, in place.
 
     The additions and their order are those of a per-step ``total += row``;
     a sum over the rows would pair them instead.  An accumulate costs about
@@ -357,12 +356,11 @@ def _running_sum(total: np.ndarray, rows: np.ndarray) -> np.ndarray:
     wide rows is added row by row and any other block is accumulated.
     """
     if 10 * rows.shape[0] < rows.shape[1]:
-        total = total.copy()
         for row in rows:
             total += row
-        return total
-    buf = np.concatenate((total[None], rows))
-    return np.add.accumulate(buf, axis=0, out=buf)[-1]
+    else:
+        buf = np.concatenate((total[None], rows))
+        total[...] = np.add.accumulate(buf, axis=0, out=buf)[-1]
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

@@ -24,7 +24,7 @@ def std_coeff():
 
 @pytest.fixture
 def numpy_rk4(monkeypatch):
-    """Force the numpy paths of the in-place Lorenz step and of an ensemble's block sums.
+    """Force the fallbacks: the textbook Lorenz step copied into the block, and numpy block sums.
 
     The loader finds no compiled library, so neither of its functions runs.
     """

@@ -357,6 +357,14 @@ def test_cli_fig3_rejects_more_than_one_realization(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_integer_beyond_double_range_is_a_config_error(tmp_path, capsys):
+    # used to run a whole ensemble, then fail pricing it with an OverflowError
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, f"link: {{pt_dbm: {_HUGE}}}\n")), "--out", str(out)]) == 2
+    assert "  - link.pt_dbm: must be a number within double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_realizations_flag_leaves_fig3_unchanged(tmp_path):
     cfg = _write(tmp_path, _FIG3)
     plain, sized = tmp_path / "plain", tmp_path / "sized"
@@ -518,6 +526,9 @@ def test_run_experiment_returns_written_paths(tmp_path):
 
 # One invalid document per field of every block, plus one per rule that ties
 # blocks together, each with the label its problem must start with.
+#: an integer that no double can hold
+_HUGE = "1" + "0" * 400
+
 _INVALID = [
     ("experiment: warmup", "experiment"),
     ("out_dir: ''", "out_dir"),
@@ -575,6 +586,11 @@ _INVALID = [
     ("system: multisine", "trajectory"),
     ("experiment: sweep\nsweep: {parameter: gamma, values: [0.1]}", "sweep.parameter"),
     ("fig3: {p_in: [1, 2]}", "fig3.p_in"),
+    # integers too large for a double in float fields
+    pytest.param(f"ensemble: {{horizon: {_HUGE}}}", "ensemble.horizon", id="huge-horizon"),
+    pytest.param(f"link: {{pt_dbm: {_HUGE}}}", "link.pt_dbm", id="huge-pt_dbm"),
+    pytest.param(f"scan: {{sigma_values: [10, -{_HUGE}]}}", "scan.sigma_values[1]", id="huge-sigma"),
+    pytest.param(f"lorenz: {{r: {_HUGE}}}", "lorenz.r", id="huge-r"),
 ]
 
 

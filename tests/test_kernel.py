@@ -3,8 +3,9 @@
 The oracles below are the schoolbook RK4 and Henon updates, returning fresh
 tuples; they work on Python floats and, elementwise, on numpy arrays.  Every
 state the core yields must equal theirs exactly, on the float path (width 1)
-and the in-place array paths (wider: the compiled Lorenz step where it builds,
-numpy ``out=`` ufuncs otherwise and for the map), across block boundaries.
+and the array paths (wider: the compiled Lorenz step where it builds, the
+textbook step copied into the block otherwise, and numpy ``out=`` ufuncs for
+the map), across block boundaries.
 """
 
 import warnings

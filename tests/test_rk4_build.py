@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaoswpt import _rk4, montecarlo
+from chaoswpt.cli import main
 from chaoswpt.dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
     STATE_DIM,
@@ -176,8 +177,9 @@ def test_compiled_block_moments_equal_the_numpy_sums(data):
     assert kernel is not None
     acc = start.copy()
     kernel.moments(samples.ctypes.data, rows, dim * width, width, c, p, acc.ctypes.data)
-    expected = montecarlo._block_moments(samples, c, p, tuple(start.copy()))
-    assert acc.tobytes() == np.stack(expected).tobytes()
+    expected = start.copy()
+    montecarlo._block_moments(samples, c, p, expected)
+    assert acc.tobytes() == expected.tobytes()
 
 
 def test_without_a_compiler_ensembles_step_through_numpy_with_one_warning(fresh_process, monkeypatch):
@@ -195,6 +197,35 @@ def test_without_a_compiler_ensembles_step_through_numpy_with_one_warning(fresh_
     assert [w.category for w in caught] == [CompiledKernelWarning]
     assert _rk4.kernel() is None
     assert np.array_equal(first, expected) and np.array_equal(second, expected)
+
+
+# the flow settled and chaotic, the map and a multisine; 2100 realizations make
+# a 2048-wide chunk of 5-row blocks and a 52-wide one of 218-row blocks, so the
+# numpy sums take both of _running_sum's paths
+_FIG4 = """
+experiment: fig4
+fig4: {pt_dbm_values: [10, 30], lorenz_r_values: [12, 28], henon_params: [[0.2, 0.1]], n_tones_values: [4]}
+ensemble: {n_realizations: 2100, horizon: 20, dt: 0.01}
+"""
+
+
+def test_a_run_writes_the_same_bytes_on_the_compiled_and_the_numpy_path(request, tmp_path):
+    if _rk4.kernel() is None:
+        pytest.skip("the compiled RK4 kernel cannot be built here")
+    cfg, out = tmp_path / "fig4.yaml", tmp_path / "out"
+    cfg.write_text(_FIG4)
+
+    def run():
+        # the same out_dir both times: the manifest records it
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        written = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        return written
+
+    compiled = run()
+    assert sorted(compiled) == ["fig4.csv", "manifest.yaml"]
+    request.getfixturevalue("numpy_rk4")
+    assert run() == compiled
 
 
 @needs_cc
