@@ -1,4 +1,4 @@
-"""The compiled ensemble loops (``_rk4.c``), built and loaded on first use.
+"""The compiled Lorenz step and ensemble sums (``_rk4.c``), built and loaded on first use.
 
 ``_rk4.c`` holds the Lorenz RK4 step and an ensemble block's moment, peak and
 power sums, each in the operation order of the numpy code it replaces, so
@@ -12,10 +12,12 @@ when unset), or into a per-user directory under the system temp dir when that
 one is unusable.  The library's name carries a hash of the source, the flags
 and the machine, so a changed source builds afresh; it is written under a
 temporary name and renamed into place, so processes building at once do not
-clash.  Without a compiler, or when the build or load fails, :func:`kernel`
-warns once and returns None: :func:`chaoswpt.dynamics.rk4_step` takes the
-textbook step on the chunk's arrays and :func:`chaoswpt.montecarlo.run_ensemble`
-adds the sums with ``_block_moments``, with the same results.
+clash.  A build also removes the cached libraries of any key last modified
+over 30 days ago.  Without a compiler, or when the build or load fails,
+:func:`kernel` warns once and returns None: :func:`chaoswpt.dynamics.rk4_step`
+takes the textbook step, single orbits (trajectories, fig3 points) included,
+and :func:`chaoswpt.montecarlo.run_ensemble` adds the sums with
+``_block_moments``, with the same results.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import hashlib
 import os
 import platform
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -38,6 +41,8 @@ SOURCE = Path(__file__).with_name("_rk4.c")
 #: when it loads
 CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _COMPILE_TIMEOUT_S = 120
+#: a cached library left unmodified this long is removed after the next build
+_STALE_DAYS = 30
 
 
 class Kernel(NamedTuple):
@@ -62,8 +67,8 @@ def kernel() -> Kernel | None:
         return _build(source, path)
     except (OSError, AttributeError) as exc:
         warnings.warn(
-            f"compiled ensemble kernel unavailable ({exc}); ensembles take the textbook "
-            "Lorenz step and add their block sums through numpy, with the same results but slower",
+            f"compiled kernel unavailable ({exc}); Lorenz orbits and ensembles take the textbook RK4 "
+            "step and ensembles add their block sums through numpy, with the same results but slower",
             CompiledKernelWarning,
             stacklevel=2,
         )
@@ -98,7 +103,7 @@ def _cache_dir() -> str:
 
 
 def _build(source: bytes, path: str):
-    """Compile ``source``, load the result and move it to ``path``.
+    """Compile ``source``, load the result, move it to ``path`` and prune the cache.
 
     The library is loaded under its temporary name: the dynamic loader would
     hand back a library it already opened under ``path``.
@@ -118,10 +123,27 @@ def _build(source: bytes, path: str):
             raise OSError(f"cc took over {_COMPILE_TIMEOUT_S} s") from exc
         found = _load(tmp)
         os.replace(tmp, path)
-        return found
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(os.path.dirname(path))
+    return found
+
+
+def _prune(cache: str) -> None:
+    """Remove the libraries in ``cache`` not modified for ``_STALE_DAYS`` days.
+
+    Newer ones stay, whatever their key: checkouts of other sources may
+    still load them, and deleting each other's would make two of them that
+    run by turns rebuild on every run.
+    """
+    cutoff = time.time() - _STALE_DAYS * 86400
+    for lib in Path(cache).glob("_rk4-*.so"):
+        try:
+            if lib.stat().st_mtime < cutoff:
+                lib.unlink()
+        except OSError:
+            pass  # removed meanwhile, or not ours to remove
 
 
 def _load(path: str) -> Kernel:

@@ -4,7 +4,7 @@
 writes its CSV outputs plus ``manifest.yaml`` (the fully resolved config) into
 the output directory.  Exit status: 0 on success, 2 for an invalid or
 unreadable config, 3 for a runtime failure (divergence, undefined quantity,
-an output that cannot be written).
+an output that cannot be written, too little memory).
 
 The harvest experiments (fig2, fig3, fig4, sweep) share one runner: it
 evaluates the sweeps :func:`chaoswpt.config.harvest_files` lists for each
@@ -125,8 +125,8 @@ def main(argv=None) -> int:
         return 2
     try:
         written = run_experiment(cfg)
-    except (ChaosWptError, OSError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except (ChaosWptError, OSError, MemoryError) as exc:
+        print(f"run failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     for path in written:
         print(path)

@@ -49,7 +49,9 @@ class TrajectorySpec:
     def __post_init__(self):
         if len(self.p_in) not in STATE_DIM.values():
             raise ValueError(f"p_in must be a state of the flow or the map, got {list(self.p_in)}")
-        steps_for_horizon(self.horizon, self.dt)
+        # the flow's step count, and the map's (one step per time unit)
+        for dt in (self.dt, 1.0):
+            steps_for_horizon(self.horizon, dt)
 
 
 @dataclass(frozen=True)

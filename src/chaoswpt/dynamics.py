@@ -14,18 +14,19 @@ map x' = y + 1 - gamma*x^2, y' = delta*x.
 
 Integration is fixed-step classical fourth-order Runge-Kutta so that runs are
 bit-reproducible for a given (initial point, dt, horizon).  One time-blocked
-core, :func:`sample_blocks`, advances every orbit: single orbits step as Python
-floats, ensembles step in place, and all paths run the same arithmetic in the
-same order.  An ensemble's Lorenz step runs a small C function (``_rk4.c``)
-that :mod:`chaoswpt._rk4` compiles on first use and that runs across the
-orbits at SIMD width, reading dt and the rate constants through one pointer;
-without a compiler the textbook step, the one single orbits take, runs on the
-chunk's arrays and is copied into the block.  Every path agrees bit for bit.
+core, :func:`sample_blocks`, advances every orbit, single orbits and ensembles
+alike, one step at a time into a preallocated block of samples.  The Lorenz
+step runs a small C function (``_rk4.c``) that :mod:`chaoswpt._rk4` compiles
+on first use and that runs across the orbits at SIMD width, reading dt and the
+rate constants through one pointer; without a compiler the textbook step runs
+on the row's arrays, or on its Python floats when it is one orbit wide, and is
+copied into the block.  Every path agrees bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,8 +44,7 @@ STATE_DIM = {"lorenz": 3, "henon": 2}
 
 #: bytes of samples one block of an ensemble holds; sets the block length
 _BLOCK_BYTES = 1 << 18
-#: longest block, which bounds the single-orbit path that holds its block as
-#: Python floats
+#: longest block, which bounds the per-row work table of a one-orbit block
 _BLOCK_ROWS_MAX = 1024
 
 
@@ -119,11 +119,15 @@ def steps_for_horizon(horizon: float, dt: float) -> int:
     """Number of integration steps covering ``horizon`` time units.
 
     The map takes one step per time unit (``dt`` 1.0).  A ratio within 1e-9
-    below a whole number rounds up to it.
+    below a whole number rounds up to it.  A count beyond ``sys.maxsize``,
+    more steps than an array can index, is rejected.
     """
     if not (dt > 0 and horizon > 0 and math.isfinite(horizon / dt)):
         raise ValueError(f"dt and horizon must be positive with a finite ratio, got {dt:g} and {horizon:g}")
-    return int(math.floor(horizon / dt + 1e-9))
+    n_steps = int(math.floor(horizon / dt + 1e-9))
+    if n_steps > sys.maxsize:
+        raise ValueError(f"horizon {horizon:g} at dt {dt:g} is {n_steps:.3g} steps, more than {sys.maxsize}")
+    return n_steps
 
 
 def rate_constants(params: LorenzParams, scaling: ScalingFactors) -> tuple:
@@ -165,21 +169,24 @@ def lorenz_step(dt: float, consts: tuple):
 
 
 def rk4_step(x, y, z, dt, consts, work, rates):
-    """One classical Runge-Kutta step; scalar and array components share this path.
+    """One classical Runge-Kutta step of the block row (x, y, z) into the next row.
 
     ``rates`` holds dt and ``consts`` as :func:`lorenz_step` packs them for
-    the compiled kernel: an array of doubles and its address.  With ``work``,
-    a block row's component arrays and its (source row, addresses) entry from
-    :func:`sample_blocks`, the new state goes into ``work[0:3]`` and those
-    arrays are returned: the compiled kernel writes it when (x, y, z) is the
-    source row, and otherwise the textbook step below is copied in.
+    the compiled kernel: an array of doubles and its address.  ``work`` is the
+    next row's entry from :func:`sample_blocks`: its component arrays and the
+    addresses of (x, y, z)'s row and of its own.  The compiled kernel writes
+    the new state there; without it the textbook step below is copied in, on
+    Python floats when the row is one orbit wide, where a numpy call costs as
+    much as ~30 float operations.  Returns the component arrays.
     """
-    if work is not None:
-        kernel = _rk4.kernel()
-        src, src_addr, dst_addr = work[3]
-        if kernel is not None and src[0] is x and src[1] is y and src[2] is z:
-            kernel.step(src_addr, dst_addr, x.size, rates[1])
-            return work[0:3]
+    row = work[0]
+    kernel = _rk4.kernel()
+    if kernel is not None:
+        kernel.step(work[1], work[2], len(x), rates[1])
+        return row
+    one = len(x) == 1
+    if one:
+        x, y, z = x.item(), y.item(), z.item()
     h = 0.5 * dt
     w = dt / 6.0
     k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
@@ -191,11 +198,11 @@ def rk4_step(x, y, z, dt, consts, work, rates):
         y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
         z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
     )
-    if work is None:
-        return new
-    for row, value in zip(work, new):
-        row[...] = value
-    return work[0:3]
+    if one:
+        row[0][0], row[1][0], row[2][0] = new
+    else:
+        row[0][...], row[1][...], row[2][...] = new
+    return row
 
 
 def lorenz_derivative(
@@ -233,11 +240,11 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
 
     ``state`` is a (dim, width) array, one column per orbit.  ``step(s, work)``
     maps the components of a state to those of the next one: rk4_step or
-    henon_step with the system's parameters bound.  At width 1 the components
-    are Python floats and ``work`` is None; wider states step in place, with
-    ``work`` the ``dim`` component arrays of the block row that receives the
-    result, and one more entry: the components of the block row ``s`` should
-    be, and the addresses of that row and of the row the result goes into.
+    henon_step with the system's parameters bound.  ``s`` is the ``dim``
+    component arrays of a block row, and ``work`` is the entry of the row that
+    receives the result: its component arrays and the addresses of ``s``'s row
+    and of its own.  ``step`` writes the result there and returns that row's
+    components.
 
     Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
     holds the samples k0 .. k0 + m - 1; the first block is the initial state
@@ -252,38 +259,25 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     yield 0, state[None], None
     rows = block_rows(dim, width)
     dead = np.zeros(width, dtype=bool)
-    if width == 1:
-        s = tuple(float(v) for v in state[:, 0])
-    else:
-        # step i of a block reads row (i - 1) mod R and writes row i; the start
-        # is copied into the last row, so the first step reads it like the rest
-        block = np.empty((min(rows, max(n_steps, 2)), dim, width))
-        block[-1] = state
-        comps = [list(row) for row in block]
-        base, stride = block.ctypes.data, block.strides[0]
-        # each work list names its source row and both rows' addresses, looked
-        # up once here: a per-step lookup costs as much as half a C step
-        works = []
-        for i, row in enumerate(comps):
-            step_rows = (comps[i - 1], base + (i - 1) % len(comps) * stride, base + i * stride)
-            works.append(row + [step_rows])
-        s = works[-1][:dim]
+    # step i of a block reads row (i - 1) mod R and writes row i; the start is
+    # copied into the last row, so the first step reads it like the rest
+    block = np.empty((min(rows, max(n_steps, 2)), dim, width))
+    block[-1] = state
+    base, stride = block.ctypes.data, block.strides[0]
+    # the components and addresses are looked up once here: a per-step lookup
+    # costs as much as half a C step
+    works = [(list(row), base + (i - 1) % len(block) * stride, base + i * stride)
+             for i, row in enumerate(block)]
+    s = works[-1][0]
     k0 = 1
     while k0 <= n_steps:
         m = min(rows, n_steps + 1 - k0)
-        if width == 1:
-            floats = []
-            for _ in range(m):
-                s = step(s, None)
-                floats.append(s)
-            samples = np.array(floats).reshape(m, dim, 1)
-        else:
-            samples = block[:m]
-            # an orbit that leaves the bound mid-block overflows until the
-            # block ends; it is zeroed below
-            with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(m):
-                    s = step(s, works[i])
+        samples = block[:m]
+        # an orbit that leaves the bound mid-block overflows until the block
+        # ends; it is zeroed below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for work in works[:m]:
+                s = step(s, work)
         bad = None
         # NaN fails both comparisons
         if not (samples.max() <= bound and -bound <= samples.min()):
@@ -291,8 +285,6 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
             dead |= bad.any(axis=0)
         if dead.any():
             samples[:, :, dead] = 0.0
-            if width == 1:
-                s = (0.0,) * dim
         yield k0, samples, bad
         k0 += m
 
@@ -349,15 +341,21 @@ def _collect(step, initial, dim, n_steps, bound, diverged) -> np.ndarray:
 def henon_step(state: Sequence[float], params: HenonParams, work=None) -> tuple[float, float]:
     """One application of the map.
 
-    With ``work`` from :func:`sample_blocks`, the step runs in place in the
-    same operation order: it writes the new state into ``work[0:2]``, a block
-    row other than the state's, and returns those arrays.  ``ny`` holds
-    ``gamma * x * x`` until ``nx`` is done.
+    With ``work``, a block row's entry from :func:`sample_blocks`, the new
+    state goes into that row's two component arrays, which are returned.  A
+    row one orbit wide takes the step on Python floats; a wider one runs in
+    place in the same operation order, with ``ny`` holding ``gamma * x * x``
+    until ``nx`` is done.
     """
     x, y = state
     if work is None:
         return y + 1.0 - params.gamma * x * x, params.delta * x
-    nx, ny = work[0:2]
+    nx, ny = work[0]
+    if len(nx) == 1:
+        x, y = x.item(), y.item()
+        nx[0] = y + 1.0 - params.gamma * x * x
+        ny[0] = params.delta * x
+        return nx, ny
     np.multiply(np.multiply(params.gamma, x, out=ny), x, out=ny)
     np.subtract(np.add(y, 1.0, out=nx), ny, out=nx)
     np.multiply(params.delta, x, out=ny)

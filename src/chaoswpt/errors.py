@@ -50,4 +50,4 @@ class SaturationWarning(UserWarning):
 
 
 class CompiledKernelWarning(UserWarning):
-    """No compiled library: ensembles take the textbook Lorenz RK4 step and add block sums in numpy."""
+    """No compiled library: every Lorenz orbit takes the textbook RK4 step; ensembles add block sums in numpy."""

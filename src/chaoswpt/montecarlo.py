@@ -8,23 +8,24 @@ evaluation order.  One generator serves every realization: its counter is
 set to the state ``jumped(i)`` gives before each draw.
 
 Realizations are integrated a chunk at a time by the same time-blocked core
-as single orbits (:func:`chaoswpt.dynamics.sample_blocks`): a chunk of one
-steps as Python floats, a wider chunk into a preallocated block, and both do
-the same arithmetic in the same order.  The core hands over a small
-block of consecutive samples at a time, and the bookkeeping runs once per
-block, vectorised over time: the divergence mask, the second/fourth moment,
-peak and power sums (added in step order, so the bits do not depend on the
-block length), and a strided subsample of each realization, stored
-time-major like the blocks.  The sums run in the compiled library of
-:mod:`chaoswpt._rk4` where it builds, in :func:`_block_moments` otherwise;
-both add in the same order, so they agree bit for bit.  Settling is detected
-once per chunk on that subsample, with :func:`detect_steady_state`'s rule
-applied to every realization at once.  Full trajectories are never stored.
+as single orbits (:func:`chaoswpt.dynamics.sample_blocks`), which steps a
+chunk of any width into a preallocated block with the same arithmetic in the
+same order.  The core hands over a small block of consecutive samples at a
+time, and the bookkeeping runs once per block, vectorised over time: the
+divergence mask, the second/fourth moment, peak and power sums (added in
+step order, so the bits do not depend on the block length), and a strided
+subsample of each realization, stored time-major like the blocks.  The sums
+run in the compiled library of :mod:`chaoswpt._rk4` where it builds, in
+:func:`_block_moments` otherwise; both add in the same order, so they agree
+bit for bit.  Settling is detected once per chunk on that subsample, with
+:func:`detect_steady_state`'s rule applied to every realization at once.
+Full trajectories are never stored.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,9 +93,13 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
+        if self.n_realizations > sys.maxsize:
+            raise ValueError(f"n_realizations must be at most {sys.maxsize}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        steps_for_horizon(self.horizon, self.dt)
+        # the flow's step count, and the map's (one step per time unit)
+        for dt in (self.dt, 1.0):
+            steps_for_horizon(self.horizon, dt)
         if not self.steady_state_tol > 0:
             raise ValueError("steady_state_tol must be positive")
         transient_cutoff_index(0, self.transient_fraction)
@@ -322,6 +327,8 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
                 np.nan,
             )
         idx = _first_quiet_index(det, ens.steady_state_tol)
+        # freed before the next chunk allocates its own
+        del det
         certified = alive & (idx >= 0)
         converged[sl] = certified
         conv_time[sl] = np.where(certified, idx * stride * dt, np.nan)

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import chaoswpt
-from chaoswpt import cli
+from chaoswpt import cli, montecarlo
 from chaoswpt.cli import main, run_experiment
 from chaoswpt.config import (
     ExperimentConfig,
@@ -365,6 +365,28 @@ def test_cli_integer_beyond_double_range_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ensemble", [f"{{n_realizations: {10**20}}}", "{horizon: 1.0e+300}"])
+def test_cli_sizes_no_run_can_hold_are_config_errors(tmp_path, capsys, ensemble):
+    # used to end in a raw ValueError from np.empty, with exit status 1
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, f"experiment: fig2\nensemble: {ensemble}\n")
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "  - ensemble." in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_running_out_of_memory_is_a_run_failure(tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(montecarlo, "initial_points", no_memory)
+    out = tmp_path / "out"
+    doc = "experiment: fig2\nfig2: {r_values: [5], eps_values: [1]}\n"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "run failed: MemoryError\n"
+    assert not out.exists()
+
+
 def test_cli_realizations_flag_leaves_fig3_unchanged(tmp_path):
     cfg = _write(tmp_path, _FIG3)
     plain, sized = tmp_path / "plain", tmp_path / "sized"
@@ -591,6 +613,12 @@ _INVALID = [
     pytest.param(f"link: {{pt_dbm: {_HUGE}}}", "link.pt_dbm", id="huge-pt_dbm"),
     pytest.param(f"scan: {{sigma_values: [10, -{_HUGE}]}}", "scan.sigma_values[1]", id="huge-sigma"),
     pytest.param(f"lorenz: {{r: {_HUGE}}}", "lorenz.r", id="huge-r"),
+    # sizes no array can index
+    pytest.param(f"ensemble: {{n_realizations: {10**20}}}", "ensemble.n_realizations", id="huge-n"),
+    pytest.param("ensemble: {horizon: 1.0e+300}", "ensemble.horizon", id="huge-ensemble-steps"),
+    pytest.param("ensemble: {dt: 10, horizon: 5.0e+19}", "ensemble", id="huge-map-steps"),
+    pytest.param("trajectory: {horizon: 1.0e+300}", "trajectory.horizon", id="huge-trajectory-steps"),
+    pytest.param("trajectory: {dt: 10, horizon: 5.0e+19}", "trajectory", id="huge-map-trajectory-steps"),
 ]
 
 

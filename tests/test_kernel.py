@@ -2,10 +2,11 @@
 
 The oracles below are the schoolbook RK4 and Henon updates, returning fresh
 tuples; they work on Python floats and, elementwise, on numpy arrays.  Every
-state the core yields must equal theirs exactly, on the float path (width 1)
-and the array paths (wider: the compiled Lorenz step where it builds, the
-textbook step copied into the block otherwise, and numpy ``out=`` ufuncs for
-the map), across block boundaries.
+state the core yields must equal theirs exactly, at every width, one orbit
+included, across block boundaries, on every path: the compiled Lorenz step
+where it builds and the textbook step copied into the block otherwise (on
+Python floats for one orbit), and the map on Python floats for one orbit and
+numpy ``out=`` ufuncs for more.
 """
 
 import warnings
@@ -113,7 +114,7 @@ def test_lorenz_core_equals_textbook_rk4(width, eps):
     assert_lorenz_core_matches(width, eps)
 
 
-@pytest.mark.parametrize("width", [3, 1000, 5462])
+@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
 @pytest.mark.parametrize("eps", EPS)
 def test_lorenz_core_on_the_numpy_path_equals_textbook_rk4(numpy_rk4, width, eps):
     assert_lorenz_core_matches(width, eps)
@@ -186,7 +187,7 @@ def _record_start(orbit, k):
     return orbit[j - k], bound
 
 
-def test_divergence_past_the_first_block_keeps_step_and_message():
+def assert_divergence_past_the_first_block_keeps_step_and_message():
     k = block_rows(3, 1) + 3
     orbit = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, ScalingFactors()), (1.0, 1.0, 20.0), 20 * k)
     s0, b = _record_start(orbit, k)
@@ -204,18 +205,27 @@ def test_divergence_past_the_first_block_keeps_step_and_message():
     assert str(exc.value) == f"state magnitude exceeded {b:g} at step {k}"
 
 
-@pytest.mark.parametrize("width", [3, 1000])
+def test_divergence_past_the_first_block_keeps_step_and_message():
+    assert_divergence_past_the_first_block_keeps_step_and_message()
+
+
+def test_divergence_past_the_first_block_on_the_numpy_path_keeps_step_and_message(numpy_rk4):
+    assert_divergence_past_the_first_block_keeps_step_and_message()
+
+
+@pytest.mark.parametrize("width", [1, 3, 1000])
 def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
     # every column starts on one oracle orbit, k steps before a sample that
     # exceeds the bound for the first time: at step K + 3 (K rows a block),
-    # mid-block, or never; the start is a transposed, strided view
+    # mid-block, or never; the start is a transposed, strided view at every
+    # width, one included
     scaling = ScalingFactors(2.0, 3.0, 5.0)
     rows = block_rows(3, width)
     n_steps = 2 * rows + 5
     orbit = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, scaling), (1.0, 1.0, 20.0), 8000)
     j, bound = _record(orbit, n_steps + 1)
     ks = ([rows + 3, rows + rows // 2, n_steps + 1] + list(range(1, n_steps + 2)) * width)[:width]
-    state = np.array([orbit[j - k] for k in ks]).T
+    state = np.array([np.repeat(orbit[j - k], 2) for k in ks]).T[::2]
     assert not state.flags.c_contiguous
 
     first_bad = [None] * width

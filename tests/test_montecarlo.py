@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -255,7 +256,7 @@ def _assert_identical(a, b):
 
 @pytest.mark.parametrize("system", ["lorenz", "henon"])
 def test_ensemble_independent_of_chunk_width(monkeypatch, system):
-    # chunks of one step as Python floats, wider ones in place as arrays; on
+    # one-orbit chunks take the steps' float branches where they have one; on
     # the numpy path a block of 2000 orbits is summed row by row, narrower
     # ones accumulated
     if system == "lorenz":
@@ -278,14 +279,30 @@ def test_ensemble_independent_of_chunk_width(monkeypatch, system):
 
 
 def test_lorenz_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatch, numpy_rk4):
-    # chunks of one orbit step as floats on every path, so the compiled and
-    # numpy steps each equal them bit for bit
+    # here a chunk of one orbit takes the textbook step on Python floats and
+    # a wider one on arrays, with the same bits
     test_ensemble_independent_of_chunk_width(monkeypatch, "lorenz")
 
 
 def test_henon_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatch, numpy_rk4):
-    # the map steps through numpy on every path; its block sums do not
+    # the map steps the same way on every path; its block sums do not
     test_ensemble_independent_of_chunk_width(monkeypatch, "henon")
+
+
+def test_a_chunk_frees_its_detection_buffer_before_the_next_one_is_allocated(monkeypatch):
+    # the detection buffer dominates a long map ensemble's memory: 10,001 rows
+    # of 2 x 64 doubles, 10 MB a chunk
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    peaks = []
+    for n in (64, 128):
+        tracemalloc.start()
+        try:
+            run_ensemble(_henon_cfg(n=n, horizon=10000.0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] > 10e6
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_ensemble_divergence_inside_a_block_matches_oracle_loop():

@@ -1,10 +1,12 @@
 """Building, caching and loading the compiled ensemble library, and the numpy fallback."""
 
+import os
 import platform
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -207,25 +209,58 @@ experiment: fig4
 fig4: {pt_dbm_values: [10, 30], lorenz_r_values: [12, 28], henon_params: [[0.2, 0.1]], n_tones_values: [4]}
 ensemble: {n_realizations: 2100, horizon: 20, dt: 0.01}
 """
+# one chaotic orbit, 5000 steps over five blocks, the last one partial
+_TRAJECTORY = """
+experiment: trajectory
+lorenz: {r: 28}
+trajectory: {p_in: [1, -5, 20], horizon: 5}
+"""
+# four one-orbit ensembles in the chaotic band
+_FIG3 = """
+experiment: fig3
+fig3: {r_values: [28, 40], eps_values: [1, 6], sigma_values: [10]}
+ensemble: {horizon: 5}
+"""
 
 
 def test_a_run_writes_the_same_bytes_on_the_compiled_and_the_numpy_path(request, tmp_path):
     if _rk4.kernel() is None:
         pytest.skip("the compiled RK4 kernel cannot be built here")
-    cfg, out = tmp_path / "fig4.yaml", tmp_path / "out"
-    cfg.write_text(_FIG4)
+    configs = {"fig4": _FIG4, "trajectory": _TRAJECTORY, "fig3": _FIG3}
+    out = tmp_path / "out"
 
-    def run():
-        # the same out_dir both times: the manifest records it
+    def run(name):
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(configs[name])
+        # the same out_dir every time: the manifest records it
         assert main(["run", str(cfg), "--out", str(out)]) == 0
         written = {p.name: p.read_bytes() for p in out.iterdir()}
         shutil.rmtree(out)
         return written
 
-    compiled = run()
-    assert sorted(compiled) == ["fig4.csv", "manifest.yaml"]
+    compiled = {name: run(name) for name in configs}
+    assert {name: sorted(files) for name, files in compiled.items()} == {
+        "fig4": ["fig4.csv", "manifest.yaml"],
+        "trajectory": ["manifest.yaml", "trajectory.csv"],
+        "fig3": ["fig3_sigma10_eps1.csv", "fig3_sigma10_eps6.csv", "manifest.yaml"],
+    }
     request.getfixturevalue("numpy_rk4")
-    assert run() == compiled
+    assert {name: run(name) for name in configs} == compiled
+
+
+@needs_cc
+def test_a_build_removes_the_libraries_left_unmodified_too_long(fresh_process):
+    path = Path(_rk4.library_path(_rk4.SOURCE.read_bytes()))
+    now = time.time()
+    # a library of any other key stays until it is that old: another checkout may load it
+    for name, days in [("_rk4-stale.so", _rk4._STALE_DAYS + 1), ("_rk4-recent.so", _rk4._STALE_DAYS - 1),
+                       ("other.so", _rk4._STALE_DAYS + 1)]:
+        (path.parent / name).write_bytes(b"")
+        os.utime(path.parent / name, (now - days * 86400,) * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CompiledKernelWarning)
+        assert _rk4.kernel() is not None
+    assert sorted(p.name for p in path.parent.iterdir()) == sorted([path.name, "_rk4-recent.so", "other.so"])
 
 
 @needs_cc
