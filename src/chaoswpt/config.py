@@ -24,7 +24,15 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .dynamics import DEFAULT_DT, STATE_DIM, HenonParams, LorenzParams, ScalingFactors, steps_for_horizon
+from .dynamics import (
+    DEFAULT_DT,
+    STATE_DIM,
+    HenonParams,
+    LorenzParams,
+    ScalingFactors,
+    check_array_size,
+    steps_for_horizon,
+)
 from .errors import ChaosWptError, ConfigError
 from .montecarlo import _SWEEPABLE, SweepSpec, SystemConfig, initial_box, patched_config
 
@@ -49,9 +57,10 @@ class TrajectorySpec:
     def __post_init__(self):
         if len(self.p_in) not in STATE_DIM.values():
             raise ValueError(f"p_in must be a state of the flow or the map, got {list(self.p_in)}")
-        # the flow's step count, and the map's (one step per time unit)
-        for dt in (self.dt, 1.0):
-            steps_for_horizon(self.horizon, dt)
+        # the flow's samples, and the map's (one step per time unit)
+        for system, dt in (("lorenz", self.dt), ("henon", 1.0)):
+            n_steps = steps_for_horizon(self.horizon, dt)
+            check_array_size((n_steps + 1, STATE_DIM[system]), f"a {system} trajectory")
 
 
 @dataclass(frozen=True)

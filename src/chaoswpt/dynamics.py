@@ -130,6 +130,12 @@ def steps_for_horizon(horizon: float, dt: float) -> int:
     return n_steps
 
 
+def check_array_size(shape: tuple[int, ...], what: str) -> None:
+    """Raise ValueError unless an array of doubles of ``shape`` fits numpy's limit of ``sys.maxsize`` bytes."""
+    if 8 * math.prod(shape) > sys.maxsize:
+        raise ValueError(f"{what} would take more than {sys.maxsize} bytes, the most an array may hold")
+
+
 def rate_constants(params: LorenzParams, scaling: ScalingFactors) -> tuple:
     """Precomputed coefficient tuple consumed by lorenz_rates / rk4_step."""
     return (
@@ -248,21 +254,22 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
 
     Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
     holds the samples k0 .. k0 + m - 1; the first block is the initial state
-    alone.  ``bad`` is None, or an (m, width) mask of the samples with a
-    component beyond ``bound`` or not finite.  An orbit is dead from its first
+    alone.  Every block is a C-contiguous array of doubles, whatever the
+    strides of ``state``.  ``bad`` is None, or an (m, width) mask of the
+    samples with a component beyond ``bound`` or not finite.  An orbit is dead from its first
     bad sample on: its columns read 0 from the block where that happened, and
     it restarts from the origin at every block boundary.  The buffer behind
     ``samples`` is reused, so a caller must be done with one block before it
     asks for the next.
     """
     dim, width = state.shape
-    yield 0, state[None], None
     rows = block_rows(dim, width)
-    dead = np.zeros(width, dtype=bool)
     # step i of a block reads row (i - 1) mod R and writes row i; the start is
     # copied into the last row, so the first step reads it like the rest
     block = np.empty((min(rows, max(n_steps, 2)), dim, width))
     block[-1] = state
+    yield 0, block[-1:], None
+    dead = np.zeros(width, dtype=bool)
     base, stride = block.ctypes.data, block.strides[0]
     # the components and addresses are looked up once here: a per-step lookup
     # costs as much as half a C step

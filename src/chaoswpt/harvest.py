@@ -245,11 +245,18 @@ def check_tones(n_tones: int, n_samples: int = MULTISINE_SAMPLES) -> None:
 
 
 def multisine_waveform(n_tones: int, n_samples: int) -> np.ndarray:
-    """One period of the N-tone equal-amplitude multisine, unit average power."""
+    """One period of the N-tone equal-amplitude multisine, unit average power.
+
+    The tones are added into one array in order, one at a time, so memory is
+    O(n_samples) whatever the tone count.  The bits are those of summing the
+    (n_tones, n_samples) matrix of tones over its rows.
+    """
     check_tones(n_tones, n_samples)
     t = np.arange(n_samples) / n_samples
-    phases = 2.0 * np.pi * np.outer(np.arange(1, n_tones + 1), t)
-    return math.sqrt(2.0 / n_tones) * np.cos(phases).sum(axis=0)
+    wave = np.zeros(n_samples)
+    for k in range(1, n_tones + 1):
+        wave += np.cos(2.0 * np.pi * (k * t))
+    return math.sqrt(2.0 / n_tones) * wave
 
 
 def multisine_moments(n_tones: int, samples_per_period: int = MULTISINE_SAMPLES) -> tuple[float, float]:

@@ -20,12 +20,17 @@ run in the compiled library of :mod:`chaoswpt._rk4` where it builds, in
 bit for bit.  Settling is detected once per chunk on that subsample, with
 :func:`detect_steady_state`'s rule applied to every realization at once.
 Full trajectories are never stored.
+
+Each realization leaves one record: its m2, m4, PAPR and settling time.  NaN
+is the only mark of what went wrong.  A realization that diverged has NaN
+for m2, m4 and PAPR, and one that never certifiably settled has a NaN
+settling time.  :class:`EnsembleConfig` rejects any size whose initial points
+or detection buffer would be larger than numpy's limit of ``sys.maxsize`` bytes.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +45,7 @@ from .dynamics import (
     ScalingFactors,
     Trajectory,
     UNIT_SCALING,
+    check_array_size,
     henon_step,
     lorenz_step,
     rate_constants,
@@ -78,6 +84,12 @@ _DETECTION_SPACING = 0.1
 _CHUNK = 2048
 
 
+def _detection_grid(n_steps: int, dt: float) -> tuple[int, int]:
+    """Stride and row count of the settling-detection subsample of an ``n_steps``-step orbit."""
+    stride = max(1, int(round(_DETECTION_SPACING / dt)))
+    return stride, 1 + n_steps // stride
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Size, seeding, and windowing of one Monte Carlo ensemble."""
@@ -93,13 +105,16 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
-        if self.n_realizations > sys.maxsize:
-            raise ValueError(f"n_realizations must be at most {sys.maxsize}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        # the flow's step count, and the map's (one step per time unit)
-        for dt in (self.dt, 1.0):
-            steps_for_horizon(self.horizon, dt)
+        # a flow ensemble's largest arrays, and a map one's (one step per time
+        # unit): the initial points and one chunk's detection buffer
+        width = min(self.n_realizations, _CHUNK)
+        for system, dt in (("lorenz", self.dt), ("henon", 1.0)):
+            dim = STATE_DIM[system]
+            check_array_size((self.n_realizations, dim), f"the initial points of a {system} ensemble")
+            _, n_det = _detection_grid(steps_for_horizon(self.horizon, dt), dt)
+            check_array_size((n_det, dim, width), f"the settling-detection buffer of a {system} ensemble")
         if not self.steady_state_tol > 0:
             raise ValueError("steady_state_tol must be positive")
         transient_cutoff_index(0, self.transient_fraction)
@@ -146,7 +161,9 @@ class EnsembleResult:
 
     Moment statistics are per-realization time averages over the
     post-transient window, averaged across non-diverged realizations; stderr
-    fields are standard errors of those across-realization means.  Statistics
+    fields are standard errors of those across-realization means.  They are
+    read from per-realization records in which NaN marks a diverged
+    realization (and a settling time that was never certified), so statistics
     are NaN when every realization diverged.  ``fraction_converged`` counts
     realizations whose settling was certified by detect_steady_state (diverged
     realizations count as non-converged).
@@ -269,7 +286,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
             return henon_step(s, config.henon, work)
 
     n_steps = steps_for_horizon(ens.horizon, dt)
-    stride = max(1, int(round(_DETECTION_SPACING / dt)))
+    stride, n_det = _detection_grid(n_steps, dt)
     n_samples = n_steps + 1
     cutoff = transient_cutoff_index(n_samples, ens.transient_fraction)
     # Chaotic (unstable) regimes have no settling point; measure PAPR once the
@@ -277,16 +294,13 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     papr_start = cutoff if verdict.stable else min(cutoff, max(1, int(0.1 * n_samples)))
     m_count = n_samples - cutoff
     p_count = n_samples - papr_start
-    n_det = 1 + (n_samples - 1) // stride
 
     pts = initial_points(ens, box)
     n = ens.n_realizations
-    ok = np.ones(n, dtype=bool)
-    m2 = np.full(n, np.nan)
-    m4 = np.full(n, np.nan)
-    papr_db = np.full(n, np.nan)
-    converged = np.zeros(n, dtype=bool)
-    conv_time = np.full(n, np.nan)
+    m2 = np.empty(n)
+    m4 = np.empty(n)
+    papr_db = np.empty(n)
+    conv_time = np.empty(n)
     kernel = _rk4.kernel()
 
     for start in range(0, n, _CHUNK):
@@ -298,8 +312,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         acc_addr = acc.ctypes.data
         det = np.empty((n_det, dim, width))
 
-        state = np.ascontiguousarray(pts[sl].T)
-        for k0, samples, bad in sample_blocks(step, state, n_steps):
+        for k0, samples, bad in sample_blocks(step, pts[sl].T, n_steps):
             if bad is not None:
                 alive &= ~bad.any(axis=0)
             # first rows of the block inside the moment and PAPR windows
@@ -316,24 +329,20 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
             row = (k0 + j) // stride
             det[row:row + kept.shape[0]] = kept
 
+        # a diverged realization's record is NaN; psum >= pmax, so a zero
+        # psum gives 0/0, NaN too
+        acc[:, ~alive] = np.nan
         s2, s4, psum, pmax = acc
-        ok[sl] = alive
-        m2[sl] = np.where(alive, s2 / m_count, np.nan)
-        m4[sl] = np.where(alive, s4 / m_count, np.nan)
+        m2[sl] = s2 / m_count
+        m4[sl] = s4 / m_count
         with np.errstate(divide="ignore", invalid="ignore"):
-            papr_db[sl] = np.where(
-                alive & (psum > 0.0),
-                10.0 * np.log10(pmax / (psum / p_count)),
-                np.nan,
-            )
+            papr_db[sl] = 10.0 * np.log10(pmax / (psum / p_count))
         idx = _first_quiet_index(det, ens.steady_state_tol)
         # freed before the next chunk allocates its own
         del det
-        certified = alive & (idx >= 0)
-        converged[sl] = certified
-        conv_time[sl] = np.where(certified, idx * stride * dt, np.nan)
+        conv_time[sl] = np.where(alive & (idx >= 0), idx * stride * dt, np.nan)
 
-    return _aggregate(config, verdict.stable, ok, m2, m4, papr_db, converged, conv_time)
+    return _aggregate(config, verdict.stable, m2, m4, papr_db, conv_time)
 
 
 def _block_moments(samples: np.ndarray, c: int, p: int, acc: np.ndarray) -> None:
@@ -379,15 +388,20 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(k))
 
 
-def _aggregate(config, stable, ok, m2, m4, papr_db, converged, conv_time) -> EnsembleResult:
-    n = ok.size
-    m2_mean, m2_se = _mean_stderr(m2[ok])
-    m4_mean, m4_se = _mean_stderr(m4[ok])
-    papr_ok = papr_db[ok & np.isfinite(papr_db)]
-    papr_mean, papr_se = _mean_stderr(papr_ok)
+def _aggregate(config, stable, m2, m4, papr_db, conv_time) -> EnsembleResult:
+    """Summarise one value per realization and array, where NaN marks a missing one.
+
+    A realization stayed bounded when its m2 is finite (a diverged one's m2,
+    m4 and PAPR are NaN) and certifiably settled when its settling time is.
+    """
+    n = m2.size
+    bounded = np.isfinite(m2)
+    m2_mean, m2_se = _mean_stderr(m2[bounded])
+    m4_mean, m4_se = _mean_stderr(m4[bounded])
+    papr_mean, papr_se = _mean_stderr(papr_db[np.isfinite(papr_db)])
 
     papr = papr_mean if math.isfinite(papr_mean) else None
-    times = conv_time[converged]
+    times = conv_time[np.isfinite(conv_time)]
     return EnsembleResult(
         config=config,
         report=_report(config, stable, m2_mean, m4_mean, papr),
@@ -398,8 +412,8 @@ def _aggregate(config, stable, ok, m2, m4, papr_db, converged, conv_time) -> Ens
         papr_db_mean=papr_mean,
         papr_db_stderr=papr_se,
         n_realizations=n,
-        n_diverged=n - int(ok.sum()),
-        fraction_converged=float(converged.sum()) / n,
+        n_diverged=n - int(bounded.sum()),
+        fraction_converged=times.size / n,
         mean_convergence_time=float(times.mean()) if times.size else float("nan"),
     )
 

@@ -20,7 +20,14 @@ from chaoswpt.config import (
     to_document,
     validate_config,
 )
-from chaoswpt.dynamics import HenonParams, LorenzParams, integrate_lorenz, iterate_henon, steps_for_horizon
+from chaoswpt.dynamics import (
+    HenonParams,
+    LorenzParams,
+    check_array_size,
+    integrate_lorenz,
+    iterate_henon,
+    steps_for_horizon,
+)
 from chaoswpt.errors import ConfigError
 from chaoswpt.io_utils import (
     HARVEST_HEADER,
@@ -375,6 +382,38 @@ def test_cli_sizes_no_run_can_hold_are_config_errors(tmp_path, capsys, ensemble)
     assert not out.exists()
 
 
+#: configs within every count's bound whose arrays exceed sys.maxsize bytes:
+#: the samples of a flow trajectory, a flow ensemble's initial points, and a
+#: flow ensemble chunk's settling-detection buffer
+_TOO_BIG = [
+    pytest.param("experiment: trajectory\ntrajectory: {horizon: 1.0e+15}", "trajectory.horizon",
+                 id="trajectory-samples"),
+    pytest.param(f"experiment: fig2\nensemble: {{n_realizations: {2**62}}}", "ensemble.n_realizations",
+                 id="initial-points"),
+    pytest.param("experiment: fig2\nensemble: {n_realizations: 10, horizon: 9.0e+15}", "ensemble.horizon",
+                 id="detection-buffer"),
+]
+
+
+@pytest.mark.parametrize("doc,label", _TOO_BIG)
+def test_cli_arrays_no_platform_can_allocate_are_config_errors(tmp_path, capsys, doc, label):
+    # numpy refuses these with a raw "array is too big" ValueError; validation
+    # must name the key first
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    assert f"  - {label}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_arrays_within_numpys_limit_are_accepted():
+    # 10 flow orbits over 1e15 time units keep a 2.08 EiB detection buffer:
+    # within sys.maxsize bytes, so the run starts and fails for want of memory
+    validate_config("experiment: fig2\nensemble: {n_realizations: 10, horizon: 1.0e+15}")
+    check_array_size((sys.maxsize // 8,), "an array")
+    with pytest.raises(ValueError, match="an array would take more than"):
+        check_array_size((sys.maxsize // 8 + 1,), "an array")
+
+
 def test_cli_running_out_of_memory_is_a_run_failure(tmp_path, capsys, monkeypatch):
     def no_memory(*args):
         raise MemoryError
@@ -619,6 +658,7 @@ _INVALID = [
     pytest.param("ensemble: {dt: 10, horizon: 5.0e+19}", "ensemble", id="huge-map-steps"),
     pytest.param("trajectory: {horizon: 1.0e+300}", "trajectory.horizon", id="huge-trajectory-steps"),
     pytest.param("trajectory: {dt: 10, horizon: 5.0e+19}", "trajectory", id="huge-map-trajectory-steps"),
+    *_TOO_BIG,
 ]
 
 

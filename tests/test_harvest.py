@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +296,28 @@ def test_multisine_papr_is_coherent_peak():
     for n in (1, 2, 4, 8):
         got = waveform_papr_db(multisine_waveform(n, 10_000))
         assert got == pytest.approx(10 * math.log10(2 * n), abs=1e-9)
+
+
+@pytest.mark.parametrize("n_tones", [1, 2, 3, 8, 37, 200])
+def test_multisine_adds_tones_with_the_bits_of_the_tone_matrix(n_tones):
+    # the matrix form the waveform was first built from: numpy's axis-0 sum
+    # of a C-contiguous matrix adds its rows in order
+    t = np.arange(10_000) / 10_000
+    phases = 2.0 * np.pi * np.outer(np.arange(1, n_tones + 1), t)
+    expected = math.sqrt(2.0 / n_tones) * np.cos(phases).sum(axis=0)
+    assert multisine_waveform(n_tones, 10_000).tobytes() == expected.tobytes()
+
+
+def test_multisine_memory_does_not_grow_with_the_tone_count():
+    # the tone matrix at 4999 tones is 400 MB, its cosine as much again; one
+    # period of 10,000 samples is 80 kB
+    tracemalloc.start()
+    try:
+        multisine_waveform(4999, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_multisine_validation():

@@ -231,6 +231,9 @@ def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
     first_bad = [None] * width
     got = []
     for k0, samples, bad in sample_blocks(lorenz_step(CHAOTIC, scaling), state, n_steps, bound):
+        # the compiled block sums read every block, the start's included, as
+        # C-contiguous doubles
+        assert samples.flags.c_contiguous, k0
         got.append(samples.copy())
         if bad is not None:
             for c in np.flatnonzero(bad.any(axis=0)):

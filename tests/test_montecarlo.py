@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 import warnings
@@ -5,6 +6,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chaoswpt import montecarlo
 
@@ -287,6 +290,55 @@ def test_lorenz_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatc
 def test_henon_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatch, numpy_rk4):
     # the map steps the same way on every path; its block sums do not
     test_ensemble_independent_of_chunk_width(monkeypatch, "henon")
+
+
+def _records(cfg, chunk):
+    """The per-realization (m2, m4, papr_db, conv_time) run_ensemble summarises, at chunk width ``chunk``."""
+    seen = []
+    aggregate = montecarlo._aggregate
+
+    def capture(config, stable, *records):
+        seen.append(records)
+        return aggregate(config, stable, *records)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_CHUNK", chunk)
+        mp.setattr(montecarlo, "_aggregate", capture)
+        run_ensemble(cfg)
+    return seen[0]
+
+
+_MOST = 16
+
+
+def _mixed_cfg(system, n):
+    # flow orbits of which some settle within the horizon and some do not;
+    # map orbits of which some settle and some diverge
+    if system == "lorenz":
+        return SystemConfig(ensemble=EnsembleConfig(n_realizations=n, dt=0.01, horizon=22.0))
+    cfg = _henon_cfg(n=n)
+    return replace(cfg, ensemble=replace(cfg.ensemble, init_box=((-8.0, 8.0), (-1.0, 1.0))))
+
+
+@functools.cache
+def _reference_records(system, path):
+    records = _records(_mixed_cfg(system, _MOST), _MOST)
+    m2, conv_time = records[0], records[3]
+    assert np.isfinite(conv_time).any() and not np.isfinite(conv_time).all()
+    if system == "henon":
+        assert np.isfinite(m2).any() and not np.isfinite(m2).all()
+    return records
+
+
+@settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(system=st.sampled_from(["lorenz", "henon"]), n=st.integers(1, _MOST), chunk=st.integers(1, _MOST + 1))
+def test_a_realizations_record_does_not_depend_on_ensemble_size_or_chunk_width(rk4_path, system, n, chunk):
+    # realization i's draw depends on (seed, i) alone, and so must every value
+    # it contributes; NaN marks a diverged or unsettled one in both runs
+    reference = _reference_records(system, rk4_path)
+    got = _records(_mixed_cfg(system, n), chunk)
+    for name, a, b in zip(("m2", "m4", "papr_db", "conv_time"), got, reference):
+        assert np.array_equal(a, b[:n], equal_nan=True), name
 
 
 def test_a_chunk_frees_its_detection_buffer_before_the_next_one_is_allocated(monkeypatch):
