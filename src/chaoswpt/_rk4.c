@@ -1,14 +1,14 @@
-/* The two hot loops of an ensemble: one classical RK4 step of the scaled
- * Lorenz flow for a block row of orbits, and one block's moment, peak and
- * power sums.
+/* The hot loops of an ensemble: one classical RK4 step of the scaled Lorenz
+ * flow and one step of the Henon map for a block row of orbits, one block's
+ * moment, peak and power sums, and a chunk's backward settling scan.
  *
  * Every product and sum below is one IEEE double operation in the order of
- * the numpy code it replaces (chaoswpt.dynamics.rk4_step and
- * chaoswpt.montecarlo._block_moments), so built without contraction
- * (-ffp-contract=off) and without -ffast-math the results equal numpy's bit
- * for bit.  Each loop runs across orbits, which are independent, so the
- * compiler vectorises it without reordering any orbit's arithmetic: every
- * vector width gives the same bits as the scalar loop.
+ * the numpy code it replaces (chaoswpt.dynamics.rk4_step and henon_step,
+ * chaoswpt.montecarlo._block_moments and _quiet_counts), so built without
+ * contraction (-ffp-contract=off) and without -ffast-math the results equal
+ * numpy's bit for bit.  Each loop runs across orbits, which are independent,
+ * so the compiler vectorises it without reordering any orbit's arithmetic:
+ * every vector width gives the same bits as the scalar loop.
  *
  * On x86-64 with glibc each function is cloned for AVX-512, AVX2 and the
  * baseline ISA, and the loader picks the clone the CPU runs (an ifunc).
@@ -96,5 +96,78 @@ void chaoswpt_block_moments(const double *restrict x, size_t rows, size_t stride
                 pmax[j] = v > pmax[j] ? v : pmax[j];
             }
         }
+    }
+}
+
+/* `in` and `out` each point at a C-contiguous (2, n) row of doubles: x and y
+ * of n orbits; they do not overlap.  `params` holds gamma and delta. */
+SIMD_CLONES
+void chaoswpt_henon(const double *restrict in, double *restrict out, size_t n,
+                    const double *restrict params)
+{
+    const double gamma = params[0], delta = params[1];
+    for (size_t i = 0; i < n; i++) {
+        const double x = in[i], y = in[n + i];
+        out[i] = (y + 1.0) - (gamma * x) * x;
+        out[n + i] = delta * x;
+    }
+}
+
+/* One row of the settling scan: fold row `x` of a (dim, n) sample into the
+ * running max `hi` and min `lo`, and add 1 to the count of each orbit whose
+ * every component now spans at most tol.  A NaN sample makes hi and lo NaN
+ * for good, as np.maximum and np.minimum do, and NaN spans are never quiet.
+ * Returns whether any orbit was quiet.  Inlined with a constant dim, the
+ * component loop unrolls and the orbit loop vectorises. */
+static inline __attribute__((always_inline)) int
+quiet_row(const double *restrict x, size_t dim, size_t n, double tol, double *restrict hi,
+          double *restrict lo, ptrdiff_t *restrict count)
+{
+    int any = 0;
+    for (size_t j = 0; j < n; j++) {
+        int quiet = 1;
+        for (size_t c = 0; c < dim; c++) {
+            const double v = x[c * n + j], h = hi[c * n + j], l = lo[c * n + j];
+            const double nh = (v > h || v != v) ? v : h, nl = (v < l || v != v) ? v : l;
+            hi[c * n + j] = nh;
+            lo[c * n + j] = nl;
+            quiet &= nh - nl <= tol;
+        }
+        count[j] += quiet;
+        any |= quiet;
+    }
+    return any;
+}
+
+/* `det` points at a C-contiguous (rows, dim, n) array of doubles: a chunk's
+ * settling subsample, one column per orbit.  Scanning its rows backwards,
+ * `count` (n entries) receives the number of rows each orbit stays quiet
+ * from the end: every component's running max minus min at most tol.  An
+ * orbit's span only grows as the scan goes back, so once it is not quiet it
+ * never is again, and the scan stops at the first row where no orbit is
+ * quiet.  `work` holds 2 * dim * n doubles for the running max and min. */
+SIMD_CLONES
+void chaoswpt_quiet_rows(const double *restrict det, size_t rows, size_t dim, size_t n, double tol,
+                         double *restrict work, ptrdiff_t *restrict count)
+{
+    double *restrict hi = work, *restrict lo = work + dim * n;
+    const double *last = det + (rows - 1) * dim * n;
+    for (size_t k = 0; k < dim * n; k++) {
+        hi[k] = last[k];
+        lo[k] = last[k];
+    }
+    for (size_t j = 0; j < n; j++)
+        count[j] = 0;
+    for (size_t r = rows; r-- > 0;) {
+        const double *x = det + r * dim * n;
+        int any;
+        if (dim == 2)
+            any = quiet_row(x, 2, n, tol, hi, lo, count);
+        else if (dim == 3)
+            any = quiet_row(x, 3, n, tol, hi, lo, count);
+        else
+            any = quiet_row(x, dim, n, tol, hi, lo, count);
+        if (!any)
+            break;
     }
 }

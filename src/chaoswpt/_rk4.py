@@ -1,10 +1,10 @@
-"""The compiled Lorenz step and ensemble sums (``_rk4.c``), built and loaded on first use.
+"""The compiled ensemble loops (``_rk4.c``), built and loaded on first use.
 
-``_rk4.c`` holds the Lorenz RK4 step and an ensemble block's moment, peak and
-power sums, each in the operation order of the numpy code it replaces, so
-every path agrees bit for bit.  Its loops run across orbits at SIMD width; on
-x86-64 with glibc the loader picks the AVX-512, AVX2 or baseline clone the CPU
-runs.
+``_rk4.c`` holds the Lorenz RK4 step, the Henon map step, an ensemble block's
+moment, peak and power sums and a chunk's backward settling scan, each in the
+operation order of the numpy code it replaces, so every path agrees bit for
+bit.  Its loops run across orbits at SIMD width; on x86-64 with glibc the
+loader picks the AVX-512, AVX2 or baseline clone the CPU runs.
 
 The package ships the C source, not a binary.  :func:`kernel` compiles it with
 the system's ``cc`` into ``$XDG_CACHE_HOME/chaoswpt`` (``~/.cache/chaoswpt``
@@ -15,9 +15,10 @@ temporary name and renamed into place, so processes building at once do not
 clash.  A build also removes the cached libraries of any key last modified
 over 30 days ago.  Without a compiler, or when the build or load fails,
 :func:`kernel` warns once and returns None: :func:`chaoswpt.dynamics.rk4_step`
-takes the textbook step, single orbits (trajectories, fig3 points) included,
-and :func:`chaoswpt.montecarlo.run_ensemble` adds the sums with
-``_block_moments``, with the same results.
+and :func:`chaoswpt.dynamics.henon_step` take the textbook step, single orbits
+(trajectories, fig3 points) included, and :func:`chaoswpt.montecarlo.run_ensemble`
+adds the sums with ``_block_moments`` and scans with ``_quiet_counts``, with
+the same results.
 """
 
 from __future__ import annotations
@@ -52,6 +53,10 @@ class Kernel(NamedTuple):
     step: Callable[..., None]
     #: ``chaoswpt_block_moments(x, rows, stride, n, c, p, acc)``
     moments: Callable[..., None]
+    #: ``chaoswpt_henon(in, out, n, params)``
+    henon: Callable[..., None]
+    #: ``chaoswpt_quiet_rows(det, rows, dim, n, tol, work, count)``
+    quiet: Callable[..., None]
 
 
 @functools.cache
@@ -67,8 +72,9 @@ def kernel() -> Kernel | None:
         return _build(source, path)
     except (OSError, AttributeError) as exc:
         warnings.warn(
-            f"compiled kernel unavailable ({exc}); Lorenz orbits and ensembles take the textbook RK4 "
-            "step and ensembles add their block sums through numpy, with the same results but slower",
+            f"compiled kernel unavailable ({exc}); Lorenz and Henon orbits take the textbook step, and "
+            "ensembles add their block sums and scan for settling through numpy, with the same results "
+            "but slower",
             CompiledKernelWarning,
             stacklevel=2,
         )
@@ -147,12 +153,15 @@ def _prune(cache: str) -> None:
 
 
 def _load(path: str) -> Kernel:
-    """Both functions of the library at ``path``; AttributeError when one is missing."""
+    """Every function of the library at ``path``; AttributeError when one is missing."""
     lib = ctypes.CDLL(path)
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
-    found = Kernel(lib.chaoswpt_lorenz_rk4, lib.chaoswpt_block_moments)
+    found = Kernel(lib.chaoswpt_lorenz_rk4, lib.chaoswpt_block_moments, lib.chaoswpt_henon,
+                   lib.chaoswpt_quiet_rows)
     found.step.argtypes = [pointer, pointer, size, pointer]
     found.moments.argtypes = [pointer, size, size, size, size, size, pointer]
+    found.henon.argtypes = [pointer, pointer, size, pointer]
+    found.quiet.argtypes = [pointer, size, size, size, ctypes.c_double, pointer, pointer]
     for fn in found:
         fn.restype = None
     return found

@@ -16,11 +16,12 @@ Integration is fixed-step classical fourth-order Runge-Kutta so that runs are
 bit-reproducible for a given (initial point, dt, horizon).  One time-blocked
 core, :func:`sample_blocks`, advances every orbit, single orbits and ensembles
 alike, one step at a time into a preallocated block of samples.  The Lorenz
-step runs a small C function (``_rk4.c``) that :mod:`chaoswpt._rk4` compiles
-on first use and that runs across the orbits at SIMD width, reading dt and the
-rate constants through one pointer; without a compiler the textbook step runs
-on the row's arrays, or on its Python floats when it is one orbit wide, and is
-copied into the block.  Every path agrees bit for bit.
+step and the map step each run a small C function (``_rk4.c``) that
+:mod:`chaoswpt._rk4` compiles on first use and that runs across the orbits at
+SIMD width, reading the system's constants through one pointer; without a
+compiler the textbook step runs on the row's arrays, or on its Python floats
+when it is one orbit wide, and its result is written into the block.  Every
+path agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -245,12 +246,12 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     """Advance ``width`` orbits ``n_steps`` steps; yield their samples block by block.
 
     ``state`` is a (dim, width) array, one column per orbit.  ``step(s, work)``
-    maps the components of a state to those of the next one: rk4_step or
-    henon_step with the system's parameters bound.  ``s`` is the ``dim``
-    component arrays of a block row, and ``work`` is the entry of the row that
-    receives the result: its component arrays and the addresses of ``s``'s row
-    and of its own.  ``step`` writes the result there and returns that row's
-    components.
+    maps the components of a state to those of the next one, as
+    :func:`lorenz_step` and :func:`henon_map_step` build it.  ``s`` is the
+    ``dim`` component arrays of a block row, and ``work`` is the entry of the
+    row that receives the result: its component arrays and the addresses of
+    ``s``'s row and of its own.  ``step`` writes the result there and returns
+    that row's components.
 
     Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
     holds the samples k0 .. k0 + m - 1; the first block is the initial state
@@ -345,28 +346,56 @@ def _collect(step, initial, dim, n_steps, bound, diverged) -> np.ndarray:
     return out
 
 
-def henon_step(state: Sequence[float], params: HenonParams, work=None) -> tuple[float, float]:
+def henon_constants(params: HenonParams) -> tuple:
+    """gamma and delta packed for the compiled map step: an array of doubles and its address.
+
+    Looking the address up costs about as much as a C step of a few hundred
+    orbits, so it is done once per operating point, as :func:`lorenz_step`
+    does for the flow.
+    """
+    packed = np.array((params.gamma, params.delta))
+    return packed, packed.ctypes.data
+
+
+def henon_map_step(params: HenonParams):
+    """The map's ``step(s, work)`` for :func:`sample_blocks`: one :func:`henon_step`.
+
+    gamma and delta are packed once, by :func:`henon_constants`.
+    """
+    consts = henon_constants(params)
+
+    def step(s, work):
+        return henon_step(s, params, work, consts)
+
+    return step
+
+
+def henon_step(state: Sequence[float], params: HenonParams, work=None, consts=None):
     """One application of the map.
 
-    With ``work``, a block row's entry from :func:`sample_blocks`, the new
-    state goes into that row's two component arrays, which are returned.  A
-    row one orbit wide takes the step on Python floats; a wider one runs in
-    place in the same operation order, with ``ny`` holding ``gamma * x * x``
-    until ``nx`` is done.
+    Without ``work`` the new state is returned as a tuple.  ``work`` is a
+    block row's entry from :func:`sample_blocks`, and ``consts`` holds gamma
+    and delta as :func:`henon_constants` packs them.  The compiled kernel
+    writes the new state into that row; without it the textbook map does, on
+    Python floats when the row is one orbit wide.  Returns the row's two
+    component arrays.
     """
-    x, y = state
     if work is None:
+        x, y = state
         return y + 1.0 - params.gamma * x * x, params.delta * x
-    nx, ny = work[0]
-    if len(nx) == 1:
+    row = work[0]
+    kernel = _rk4.kernel()
+    if kernel is not None:
+        kernel.henon(work[1], work[2], len(row[0]), consts[1])
+        return row
+    x, y = state
+    if len(x) == 1:
         x, y = x.item(), y.item()
-        nx[0] = y + 1.0 - params.gamma * x * x
-        ny[0] = params.delta * x
-        return nx, ny
-    np.multiply(np.multiply(params.gamma, x, out=ny), x, out=ny)
-    np.subtract(np.add(y, 1.0, out=nx), ny, out=nx)
-    np.multiply(params.delta, x, out=ny)
-    return nx, ny
+        row[0][0], row[1][0] = y + 1.0 - params.gamma * x * x, params.delta * x
+    else:
+        np.subtract(y + 1.0, params.gamma * x * x, out=row[0])
+        np.multiply(params.delta, x, out=row[1])
+    return row
 
 
 def iterate_henon(
@@ -381,11 +410,8 @@ def iterate_henon(
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
 
-    def step(s, work):
-        return henon_step(s, params, work)
-
     def diverged(k):
         return DivergenceError(f"state magnitude exceeded {divergence_bound:g} at step {k}", step=k)
 
-    out = _collect(step, initial, STATE_DIM["henon"], n_steps, divergence_bound, diverged)
+    out = _collect(henon_map_step(params), initial, STATE_DIM["henon"], n_steps, divergence_bound, diverged)
     return Trajectory(1.0, out, transient_cutoff_index(n_steps + 1, transient_fraction))

@@ -261,6 +261,10 @@ def multisine_waveform(n_tones: int, n_samples: int) -> np.ndarray:
 
 def multisine_moments(n_tones: int, samples_per_period: int = MULTISINE_SAMPLES) -> tuple[float, float]:
     """(m2, m4) of the multisine by rectangle-rule quadrature over one period."""
-    s = multisine_waveform(n_tones, samples_per_period)
-    p = s * s
+    return waveform_moments(multisine_waveform(n_tones, samples_per_period))
+
+
+def waveform_moments(samples: np.ndarray) -> tuple[float, float]:
+    """(m2, m4) of a sample vector: the means of its square and of its square's square."""
+    p = samples * samples
     return float(p.mean()), float((p * p).mean())

@@ -4,8 +4,10 @@ Realizations differ only in their initial point.  Initial points are drawn
 from per-realization counter-based RNG streams (Philox keyed by the seed,
 jumped by the realization index), so realization i's draw depends only on
 (seed, i): results are reproducible and independent of batch sizes or
-evaluation order.  One generator serves every realization: its counter is
-set to the state ``jumped(i)`` gives before each draw.
+evaluation order.  Realization i's draw is the Philox4x64-10 block of
+counter ``[1, 0, i, 0]``, the first block of the stream ``jumped(i)``;
+:func:`_philox_blocks` computes those blocks for every realization at once
+in numpy.
 
 Realizations are integrated a chunk at a time by the same time-blocked core
 as single orbits (:func:`chaoswpt.dynamics.sample_blocks`), which steps a
@@ -18,8 +20,10 @@ subsample of each realization, stored time-major like the blocks.  The sums
 run in the compiled library of :mod:`chaoswpt._rk4` where it builds, in
 :func:`_block_moments` otherwise; both add in the same order, so they agree
 bit for bit.  Settling is detected once per chunk on that subsample, with
-:func:`detect_steady_state`'s rule applied to every realization at once.
-Full trajectories are never stored.
+:func:`detect_steady_state`'s rule applied to every realization at once by
+one backward scan, in the library where it builds and in
+:func:`_quiet_counts` otherwise, with the same counts.  Full trajectories are
+never stored.
 
 Each realization leaves one record: its m2, m4, PAPR and settling time.  NaN
 is the only mark of what went wrong.  A realization that diverged has NaN
@@ -46,6 +50,7 @@ from .dynamics import (
     Trajectory,
     UNIT_SCALING,
     check_array_size,
+    henon_constants,
     henon_step,
     lorenz_step,
     rate_constants,
@@ -66,8 +71,8 @@ from .harvest import (
     dc_from_moments,
     eta_henon,
     eta_scaled_lorenz,
-    multisine_moments,
     multisine_waveform,
+    waveform_moments,
     waveform_papr_db,
     with_fading,
 )
@@ -186,24 +191,60 @@ class EnsembleResult:
 def initial_points(cfg: EnsembleConfig, box: tuple[tuple[float, float], ...]) -> np.ndarray:
     """Draw one initial point per realization from independent keyed streams.
 
-    Row i holds ``Generator(Philox(key=seed).jumped(i)).uniform(lo, hi)``.  A
-    jump adds i to the third word of the counter and empties the output
-    buffer, so one generator set to that state gives the same raw words
-    without building a generator per row.
+    Row i holds ``Generator(Philox(key=seed).jumped(i)).uniform(lo, hi)``: a
+    jump adds i to the third word of the counter, and the first draw of the
+    jumped stream is the Philox block of counter ``[1, 0, i, 0]``, which
+    :func:`_philox_blocks` computes for every row at once.
     """
     bounds = np.asarray(box, dtype=float)
-    dim = bounds.shape[0]
-    bitgen = np.random.Philox(key=cfg.seed)
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    raw = np.empty((cfg.n_realizations, dim), dtype=np.uint64)
-    for i in range(cfg.n_realizations):
-        counter[2] = i
-        bitgen.state = state
-        raw[i] = bitgen.random_raw(dim)
+    raw = _philox_blocks(cfg.seed, 0, cfg.n_realizations)[:, :bounds.shape[0]]
     # Generator.uniform: lo + (hi - lo) * (53 random bits scaled to [0, 1))
     u = (raw >> np.uint64(11)) * 2.0**-53
     return bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u
+
+
+#: Philox4x64's round multipliers and key increments (Salmon et al., SC'11)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK64 = 2**64 - 1
+_MASK32 = np.uint64(2**32 - 1)
+_SHIFT32 = np.uint64(32)
+
+
+def _philox_blocks(seed: int, first: int, n: int) -> np.ndarray:
+    """Philox4x64-10 of the counters ``[1, 0, i, 0]``, i = first .. first + n - 1, under key ``[seed, 0]``.
+
+    Returns an (n, 4) array of uint64, one output block a row, as numpy's
+    ``Philox`` computes them, for all rows at once: each round's 64 x 64 ->
+    128-bit products are assembled from 32-bit halves.
+    """
+    c0 = np.ones(n, dtype=np.uint64)
+    c1 = np.zeros(n, dtype=np.uint64)
+    c2 = np.arange(n, dtype=np.uint64) + np.uint64(first)
+    c3 = np.zeros(n, dtype=np.uint64)
+    k0, k1 = int(seed), 0
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return np.stack((c0, c1, c2, c3), axis=1)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of the 128-bit products ``a * b``.
+
+    With a = a1 2^32 + a0 and b = b1 2^32 + b0, no partial sum below can
+    exceed 2^64 - 1: each product of halves is at most 2^64 - 2^33 + 1.
+    """
+    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b0, b1 = b & _MASK32, b >> _SHIFT32
+    low = a0 * b0
+    mid = a1 * b0 + (low >> _SHIFT32)
+    mid2 = a0 * b1 + (mid & _MASK32)
+    return a1 * b1 + (mid >> _SHIFT32) + (mid2 >> _SHIFT32), np.uint64(a) * b
 
 
 def initial_box(config: SystemConfig) -> tuple[tuple[float, float], ...]:
@@ -245,13 +286,33 @@ def detect_steady_state(traj: Trajectory, tol: float = EnsembleConfig.steady_sta
 def _first_quiet_index(det: np.ndarray, tol: float) -> np.ndarray:
     """:func:`detect_steady_state`'s index for each orbit of a chunk, -1 for None.
 
-    ``det`` is (n, dim, width), one column per orbit.  The rows are scanned
-    backwards with a running max and min per orbit; an orbit's suffix
-    excursion only grows as the suffix extends back, so its quiet rows are
-    the last ones, and the scan stops at the first row where no orbit is
-    quiet.
+    ``det`` is (n, dim, width), one column per orbit.  The compiled library
+    counts each orbit's quiet rows where it loads, :func:`_quiet_counts`
+    otherwise; both give the same counts.
     """
-    n, _, width = det.shape
+    n, dim, width = det.shape
+    kernel = _rk4.kernel()
+    if kernel is not None:
+        det = np.ascontiguousarray(det, dtype=float)
+        count = np.empty(width, dtype=np.intp)
+        work = np.empty((2, dim, width))
+        kernel.quiet(det.ctypes.data, n, dim, width, tol, work.ctypes.data, count.ctypes.data)
+    else:
+        count = _quiet_counts(det, tol)
+    return np.where(count >= _min_window(n), n - count, -1)
+
+
+def _quiet_counts(det: np.ndarray, tol: float) -> np.ndarray:
+    """How many of its last rows each orbit of ``det`` stays within ``tol``, as ``chaoswpt_quiet_rows`` does.
+
+    The rows are scanned backwards with a running max and min per orbit; an
+    orbit's suffix excursion only grows as the suffix extends back, so its
+    quiet rows are the last ones, and the scan stops at the first row where
+    no orbit is quiet.  A NaN makes its orbit's span NaN, never quiet.  This
+    is the library's numpy fallback, and the reference its tests check it
+    against.
+    """
+    width = det.shape[2]
     hi = det[-1].copy()
     lo = det[-1].copy()
     span = np.empty_like(hi)
@@ -265,7 +326,7 @@ def _first_quiet_index(det: np.ndarray, tol: float) -> np.ndarray:
         if not quiet.any():
             break
         count += quiet
-    return np.where(count >= _min_window(n), n - count, -1)
+    return count
 
 
 def run_ensemble(config: SystemConfig) -> EnsembleResult:
@@ -282,8 +343,12 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     else:
         dt = 1.0
         verdict = henon_stable(config.henon)
+        consts = henon_constants(config.henon)
+
+        # henon_map_step's step, but calling this module's henon_step, which
+        # perfbench's tracer wraps to count one call per step
         def step(s, work):
-            return henon_step(s, config.henon, work)
+            return henon_step(s, config.henon, work, consts)
 
     n_steps = steps_for_horizon(ens.horizon, dt)
     stride, n_det = _detection_grid(n_steps, dt)
@@ -302,6 +367,11 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     papr_db = np.empty(n)
     conv_time = np.empty(n)
     kernel = _rk4.kernel()
+    # one settling-detection buffer, sized for the widest chunk, serves every
+    # chunk: one freed and allocated afresh per chunk can come back from
+    # malloc as new pages while the freed ones stay resident, which doubled
+    # the peak memory of a 5000-realization map ensemble in some runs
+    det_buf = np.empty(n_det * dim * min(n, _CHUNK))
 
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
@@ -310,7 +380,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         # (s2, s4, psum, pmax), laid out as chaoswpt_block_moments takes them
         acc = np.zeros((4, width))
         acc_addr = acc.ctypes.data
-        det = np.empty((n_det, dim, width))
+        det = det_buf[:n_det * dim * width].reshape(n_det, dim, width)
 
         for k0, samples, bad in sample_blocks(step, pts[sl].T, n_steps):
             if bad is not None:
@@ -338,8 +408,6 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         with np.errstate(divide="ignore", invalid="ignore"):
             papr_db[sl] = 10.0 * np.log10(pmax / (psum / p_count))
         idx = _first_quiet_index(det, ens.steady_state_tol)
-        # freed before the next chunk allocates its own
-        del det
         conv_time[sl] = np.where(alive & (idx >= 0), idx * stride * dt, np.nan)
 
     return _aggregate(config, verdict.stable, m2, m4, papr_db, conv_time)
@@ -438,9 +506,13 @@ def _report(config: SystemConfig, stable: bool, m2: float, m4: float, papr_db) -
 
 
 def multisine_result(config: SystemConfig) -> EnsembleResult:
-    """Deterministic multisine baseline presented in the same result shape."""
-    m2, m4 = multisine_moments(config.n_tones)
-    papr = waveform_papr_db(multisine_waveform(config.n_tones, MULTISINE_SAMPLES))
+    """Deterministic multisine baseline presented in the same result shape.
+
+    One period is built once; its moments and PAPR are all read from it.
+    """
+    wave = multisine_waveform(config.n_tones, MULTISINE_SAMPLES)
+    m2, m4 = waveform_moments(wave)
+    papr = waveform_papr_db(wave)
     return EnsembleResult(
         config=config,
         report=_report(config, True, m2, m4, papr),

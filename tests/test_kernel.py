@@ -3,12 +3,12 @@
 The oracles below are the schoolbook RK4 and Henon updates, returning fresh
 tuples; they work on Python floats and, elementwise, on numpy arrays.  Every
 state the core yields must equal theirs exactly, at every width, one orbit
-included, across block boundaries, on every path: the compiled Lorenz step
-where it builds and the textbook step copied into the block otherwise (on
-Python floats for one orbit), and the map on Python floats for one orbit and
-numpy ``out=`` ufuncs for more.
+included, across block boundaries, on every path: the compiled Lorenz and
+map steps where the library builds, and the textbook steps copied into the
+block otherwise (on Python floats for one orbit).
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -21,7 +21,6 @@ from chaoswpt.dynamics import (
     LorenzParams,
     ScalingFactors,
     block_rows,
-    henon_step,
     integrate_lorenz,
     iterate_henon,
     rate_constants,
@@ -63,7 +62,7 @@ def lorenz_step(params, eps):
 
 
 def henon(params):
-    return lambda s, work: henon_step(s, params, work)
+    return dynamics.henon_map_step(params)
 
 
 def start(dim, width, eps, seed):
@@ -120,11 +119,21 @@ def test_lorenz_core_on_the_numpy_path_equals_textbook_rk4(numpy_rk4, width, eps
     assert_lorenz_core_matches(width, eps)
 
 
-@pytest.mark.parametrize("width", [1, 3, 1000])
-def test_henon_core_equals_textbook_map(width):
+def assert_henon_core_matches(width):
     assert_core_matches(
         henon(HENON), lambda s: oracle_henon(s, HENON), start(2, width, None, seed=width)
     )
+
+
+# at width 5462 a block holds two rows
+@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
+def test_henon_core_equals_textbook_map(width):
+    assert_henon_core_matches(width)
+
+
+@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
+def test_henon_core_on_the_numpy_path_equals_textbook_map(numpy_rk4, width):
+    assert_henon_core_matches(width)
 
 
 @pytest.mark.parametrize("dim,width", [(3, 5462), (2, 8193)])
@@ -249,7 +258,7 @@ def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
         assert np.array_equal(got[:, :, c], expected), (c, k)
 
 
-def test_divergence_is_reported_from_first_bad_sample():
+def assert_divergence_is_reported_from_first_bad_sample():
     # escaping orbits leave at different steps; the core marks each orbit from
     # its own first bad sample and zeroes it, without numpy warnings
     rng = np.random.default_rng(11)
@@ -280,3 +289,43 @@ def test_divergence_is_reported_from_first_bad_sample():
                     seen[i] = k0 + int(np.argmax(bad[:, i]))
             assert not samples[:, :, [i for i, k in enumerate(seen) if k is not None]].any()
     assert seen == first_bad
+
+
+def test_divergence_is_reported_from_first_bad_sample():
+    assert_divergence_is_reported_from_first_bad_sample()
+
+
+def test_divergence_on_the_numpy_path_is_reported_from_first_bad_sample(numpy_rk4):
+    assert_divergence_is_reported_from_first_bad_sample()
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_map_orbits_die_at_a_first_sample_beyond_the_bound_or_not_finite(rk4_path, width):
+    # under a bound of 1e300, x = 1e200 overflows to -inf at step 1, x = 1e150
+    # steps to -1.4e300, beyond the bound but finite, x = 1e140 overflows at
+    # step 2, and 0.1 never leaves the bound
+    bound = 1e300
+    starts = [(1e200, 0.0), (1e150, 0.0), (1e140, 0.5), (0.1, -0.1)][:width]
+    n_steps = block_rows(2, width) + 3
+    orbits = [_orbit(lambda s: oracle_henon(s, HENON), s0, n_steps) for s0 in starts]
+    first_bad = [next((k for k, s in enumerate(o) if not max(abs(c) for c in s) <= bound), None)
+                 for o in orbits]
+    assert first_bad == [1, 1, 2, None][:width]
+    assert orbits[0][1][0] == -math.inf
+
+    seen = [None] * width
+    got = []
+    for k0, samples, bad in sample_blocks(henon(HENON), np.array(starts).T.copy(), n_steps, bound):
+        got.append(samples.copy())
+        if bad is not None:
+            for c in np.flatnonzero(bad.any(axis=0)):
+                if seen[c] is None:
+                    seen[c] = k0 + int(np.argmax(bad[:, c]))
+    assert seen == first_bad
+    got = np.concatenate(got)
+    for c, (orbit, k) in enumerate(zip(orbits, first_bad)):
+        expected = np.array(orbit)
+        if k is not None:
+            # the first block after the start holds step k, so from there on the orbit reads 0
+            expected[1:] = 0.0
+        assert np.array_equal(got[:, :, c], expected), c

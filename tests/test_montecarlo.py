@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chaoswpt import montecarlo
+from chaoswpt import harvest, montecarlo
 
 from chaoswpt.dynamics import (
     HenonParams,
@@ -124,8 +124,7 @@ def _detection_cases():
     ]
 
 
-@pytest.mark.parametrize("det, tol", _detection_cases())
-def test_chunk_detection_matches_detect_steady_state(det, tol):
+def assert_chunk_detection_matches_detect_steady_state(det, tol):
     # the chunk scan gives each orbit what detect_steady_state gives it alone
     got = montecarlo._first_quiet_index(det, tol)
     assert got.shape == (det.shape[2],)
@@ -134,7 +133,17 @@ def test_chunk_detection_matches_detect_steady_state(det, tol):
         assert got[j] == (-1 if alone is None else alone), j
 
 
-def test_chunk_detection_hand_values():
+@pytest.mark.parametrize("det, tol", _detection_cases())
+def test_chunk_detection_matches_detect_steady_state(det, tol):
+    assert_chunk_detection_matches_detect_steady_state(det, tol)
+
+
+@pytest.mark.parametrize("det, tol", _detection_cases())
+def test_chunk_detection_on_the_numpy_path_matches_detect_steady_state(numpy_rk4, det, tol):
+    assert_chunk_detection_matches_detect_steady_state(det, tol)
+
+
+def assert_chunk_detection_hand_values():
     (det, tol), (det_edge, tol_edge) = _detection_cases()[:2]
     # constant, settling, swinging, 5-row and 4-row quiet suffixes, dead, edge
     idx = montecarlo._first_quiet_index(det, tol)
@@ -143,6 +152,14 @@ def test_chunk_detection_hand_values():
     assert montecarlo._first_quiet_index(det_edge, tol_edge)[1] == 40
     assert montecarlo._first_quiet_index(det_edge, np.nextafter(tol_edge, 0.0))[1] == -1
     assert list(montecarlo._first_quiet_index(*_detection_cases()[-1])) == [36, -1]
+
+
+def test_chunk_detection_hand_values():
+    assert_chunk_detection_hand_values()
+
+
+def test_chunk_detection_on_the_numpy_path_hand_values(numpy_rk4):
+    assert_chunk_detection_hand_values()
 
 
 def test_initial_points_reproducible_and_in_box():
@@ -174,6 +191,21 @@ def test_initial_points_keyed_per_realization():
             for i, row in enumerate(pts):
                 gen = np.random.Generator(np.random.Philox(key=seed).jumped(i))
                 assert np.array_equal(row, gen.uniform(bounds[:, 0], bounds[:, 1])), (seed, box, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    # counters whose 32-bit halves carry into each other, and the last ones
+    first=st.one_of(st.integers(0, 2**64 - 4), st.integers(2**32 - 4, 2**32 + 4),
+                    st.integers(2**64 - 8, 2**64 - 4)),
+)
+def test_vectorised_philox_blocks_equal_jumped_streams(seed, first):
+    blocks = montecarlo._philox_blocks(seed, first, 4)
+    assert blocks.shape == (4, 4) and blocks.dtype == np.uint64
+    for j, block in enumerate(blocks):
+        expected = np.random.Philox(key=seed).jumped(first + j).random_raw(4)
+        assert np.array_equal(block, expected), j
 
 
 def test_initial_points_differ_across_seeds():
@@ -505,6 +537,30 @@ def test_multisine_result_is_deterministic_baseline():
     assert res.m2_stderr == 0.0
     assert res.n_diverged == 0
     assert res.report.stable
+
+
+@pytest.mark.filterwarnings("ignore::chaoswpt.errors.SaturationWarning")
+@pytest.mark.parametrize("n_tones", [1, 4, 1000, 4999])
+def test_multisine_result_has_the_bits_of_its_moments_and_papr(n_tones):
+    res = multisine_result(SystemConfig(system="multisine", n_tones=n_tones))
+    m2, m4 = harvest.multisine_moments(n_tones)
+    papr = harvest.waveform_papr_db(harvest.multisine_waveform(n_tones, harvest.MULTISINE_SAMPLES))
+    assert (res.m2_mean, res.m4_mean, res.papr_db_mean) == (m2, m4, papr)
+    assert res.report.papr_db == papr
+
+
+def test_a_multisine_row_builds_one_waveform(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return waveform(*args)
+
+    waveform = harvest.multisine_waveform
+    monkeypatch.setattr(harvest, "multisine_waveform", counted)
+    monkeypatch.setattr(montecarlo, "multisine_waveform", counted)
+    multisine_result(SystemConfig(system="multisine", n_tones=7))
+    assert built == [(7, harvest.MULTISINE_SAMPLES)]
 
 
 def test_patched_config_rejects_fractional_tone_count():

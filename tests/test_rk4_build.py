@@ -147,6 +147,35 @@ def test_the_vectorised_library_equals_a_scalar_build(builds, width, eps):
     for acc in sums[1:]:
         assert acc.tobytes() == sums[0].tobytes()
 
+    # the map, chaotic at eps 1 and attracting at eps 6, every sample kept as
+    # run_ensemble keeps its detection rows
+    params = np.array((1.4, 0.3) if eps == 1.0 else (0.002, 0.9))
+    n_map = 1000
+    orbits = [np.empty((n_map + 1, 2, width)) for _ in libs]
+    for orbit in orbits:
+        orbit[0] = start[:2] / 100.0
+    row_bytes = orbits[0].strides[0]
+    for k in range(1, n_map + 1):
+        for lib, orbit in zip(libs, orbits):
+            base = orbit.ctypes.data
+            lib.henon(base + (k - 1) * row_bytes, base + k * row_bytes, width, params.ctypes.data)
+    assert np.isfinite(orbits[0]).all()
+    for orbit in orbits[1:]:
+        assert orbit.tobytes() == orbits[0].tobytes()
+
+    # the settling scan of the map's samples, which stops at once where the
+    # map is chaotic and runs ~830 rows back where it attracts, and of the
+    # flow's last block
+    for det, far in ((orbits[0], eps == 6.0), (blocks[0], False)):
+        counts = [np.full(width, -1, dtype=np.intp) for _ in libs]
+        for lib, count in zip(libs, counts):
+            work = np.empty((2,) + det.shape[1:])
+            lib.quiet(det.ctypes.data, det.shape[0], det.shape[1], width, 1e-3, work.ctypes.data,
+                      count.ctypes.data)
+        assert counts[0].min() > (800 if far else 0)
+        for count in counts[1:]:
+            assert np.array_equal(count, counts[0])
+
 
 def _block(rng, rows, dim, width):
     """Samples of every kind a block can hold: zeros, subnormals, squares that
@@ -182,6 +211,41 @@ def test_compiled_block_moments_equal_the_numpy_sums(data):
     expected = start.copy()
     montecarlo._block_moments(samples, c, p, expected)
     assert acc.tobytes() == expected.tobytes()
+
+
+@needs_cc
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_compiled_settling_scan_equals_the_numpy_scan(data):
+    rows = data.draw(st.integers(1, 300), label="rows")
+    width = data.draw(st.integers(1, 2049), label="width")
+    dim = data.draw(st.sampled_from(sorted(STATE_DIM.values())), label="dim")
+    tol = data.draw(st.sampled_from([1e-3, 0.25, 1.0]), label="tol")
+    # a suffix that spans exactly tol is quiet at tol, and not just below it
+    scan_tol = data.draw(st.sampled_from([tol, np.nextafter(tol, 0.0)]), label="scan_tol")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    det = rng.normal(0.0, 10.0 * tol, (rows, dim, width))
+    # each orbit ends on a quiet suffix of its own length, values in [0, tol];
+    # from two rows on, its first component spans exactly tol
+    length = rng.integers(0, rows + 1, width)
+    in_suffix = np.arange(rows)[:, None] >= rows - length
+    det = np.where(in_suffix[:, None, :], rng.uniform(0.0, tol, det.shape), det)
+    edge = np.flatnonzero(length >= 2)
+    det[rows - length[edge], 0, edge] = 0.0
+    det[-1, 0, edge] = tol
+    # a few samples that are not finite, anywhere
+    n_bad = data.draw(st.integers(0, 3), label="n_bad")
+    for value in rng.choice([np.nan, np.inf, -np.inf], n_bad):
+        det[rng.integers(rows), rng.integers(dim), rng.integers(width)] = value
+
+    kernel = _rk4.kernel()
+    assert kernel is not None
+    count = np.full(width, -1, dtype=np.intp)
+    work = np.empty((2, dim, width))
+    kernel.quiet(det.ctypes.data, rows, dim, width, scan_tol, work.ctypes.data, count.ctypes.data)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        expected = montecarlo._quiet_counts(det, scan_tol)
+    assert np.array_equal(count, expected)
 
 
 def test_without_a_compiler_ensembles_step_through_numpy_with_one_warning(fresh_process, monkeypatch):
