@@ -1,17 +1,17 @@
-/* The hot loops of an ensemble: one classical RK4 step of the scaled Lorenz
- * flow and one step of the Henon map for a block row of orbits, one block's
- * moment, peak and power sums, and a chunk's backward settling scan.
+/* The hot loops of an ensemble: classical RK4 steps of the scaled Lorenz flow
+ * and steps of the Henon map for a whole block of samples of n orbits, one
+ * block's moment, peak and power sums, and a chunk's backward settling scan.
  *
  * Every product and sum below is one IEEE double operation in the order of
- * the numpy code it replaces (chaoswpt.dynamics.rk4_step and henon_step,
- * chaoswpt.montecarlo._block_moments and _quiet_counts), so built without
- * contraction (-ffp-contract=off) and without -ffast-math the results equal
- * numpy's bit for bit.  Each loop runs across orbits, which are independent,
- * so the compiler vectorises it without reordering any orbit's arithmetic:
- * every vector width gives the same bits as the scalar loop.
+ * the numpy code it replaces (the textbook steps of chaoswpt.dynamics.rk4_step
+ * and henon_step, chaoswpt.montecarlo._block_moments and _quiet_counts), so
+ * built without contraction (-ffp-contract=off) and without -ffast-math the
+ * results equal numpy's bit for bit.  Each loop runs across orbits, which are
+ * independent, so the compiler vectorises it without reordering any orbit's
+ * arithmetic: every vector width gives the same bits as the scalar loop.
  *
- * On x86-64 with glibc each function is cloned for AVX-512, AVX2 and the
- * baseline ISA, and the loader picks the clone the CPU runs (an ifunc).
+ * On x86-64 with glibc each exported function is cloned for AVX-512, AVX2 and
+ * the baseline ISA, and the loader picks the clone the CPU runs (an ifunc).
  * Other targets, and compilers without target_clones, build the plain loop.
  */
 
@@ -37,17 +37,23 @@
         DZ = rxyz * (X) * (Y) - beta * (Z);     \
     } while (0)
 
-/* `in` and `out` each point at a C-contiguous (3, n) row of doubles: x, y and
- * z of n orbits; they do not overlap.  `rates` holds dt, then the rate
- * constants of chaoswpt.dynamics.rate_constants: sigma, r, beta, ryx, rxy,
- * ez, rxyz. */
-SIMD_CLONES
-void chaoswpt_lorenz_rk4(const double *restrict in, double *restrict out, size_t n,
-                         const double *restrict rates)
+/* A sample v is bad when it lies beyond bound or is not finite: NaN fails
+ * both comparisons, and the caller clamps an infinite bound to the largest
+ * double, so that inf is bad too.  The test has no branch, so the loops that
+ * fold it into a flag still vectorise. */
+#define BAD(v) (!((v) <= bound) | !(-bound <= (v)))
+
+/* One RK4 step of n orbits: `in` and `out` each point at a C-contiguous
+ * (3, n) row of doubles, x, y and z; they do not overlap.  Returns whether
+ * any sample written is bad. */
+static inline __attribute__((always_inline)) int
+lorenz_row(const double *restrict in, double *restrict out, size_t n, const double *restrict rates,
+           double bound)
 {
     const double dt = rates[0], sigma = rates[1], r = rates[2], beta = rates[3],
                  ryx = rates[4], rxy = rates[5], ez = rates[6], rxyz = rates[7];
     const double h = 0.5 * dt, w = dt / 6.0;
+    int bad = 0;
     for (size_t i = 0; i < n; i++) {
         const double x = in[i], y = in[n + i], z = in[2 * n + i];
         double ax, ay, az, kx, ky, kz, sx, sy, sz;
@@ -62,10 +68,29 @@ void chaoswpt_lorenz_rk4(const double *restrict in, double *restrict out, size_t
         ax = ax + 2.0 * kx; ay = ay + 2.0 * ky; az = az + 2.0 * kz;
         RATES(sx, sy, sz, kx, ky, kz);
         ax = ax + kx; ay = ay + ky; az = az + kz;
-        out[i] = x + w * ax;
-        out[n + i] = y + w * ay;
-        out[2 * n + i] = z + w * az;
+        const double nx = x + w * ax, ny = y + w * ay, nz = z + w * az;
+        out[i] = nx;
+        out[n + i] = ny;
+        out[2 * n + i] = nz;
+        bad |= BAD(nx) | BAD(ny) | BAD(nz);
     }
+    return bad;
+}
+
+/* `rows` RK4 steps of n orbits into `out`, a C-contiguous (rows, 3, n) block
+ * of doubles: row 0 is the step of `src`, a (3, n) row, and row k the step of
+ * row k - 1.  `src` may be the block's last row, which only the last step
+ * writes.  `rates` holds dt, then the rate constants of
+ * chaoswpt.dynamics.rate_constants: sigma, r, beta, ryx, rxy, ez, rxyz.
+ * Returns whether any sample written is beyond `bound` or not finite. */
+SIMD_CLONES
+int chaoswpt_lorenz_rk4_rows(const double *src, double *out, size_t rows, size_t n,
+                             const double *restrict rates, double bound)
+{
+    int bad = 0;
+    for (size_t k = 0; k < rows; k++, src = out, out += 3 * n)
+        bad |= lorenz_row(src, out, n, rates, bound);
+    return bad;
 }
 
 /* `x` points at the first component of `rows` samples of n orbits, one
@@ -99,18 +124,36 @@ void chaoswpt_block_moments(const double *restrict x, size_t rows, size_t stride
     }
 }
 
-/* `in` and `out` each point at a C-contiguous (2, n) row of doubles: x and y
- * of n orbits; they do not overlap.  `params` holds gamma and delta. */
-SIMD_CLONES
-void chaoswpt_henon(const double *restrict in, double *restrict out, size_t n,
-                    const double *restrict params)
+/* One step of the map for n orbits: `in` and `out` each point at a
+ * C-contiguous (2, n) row of doubles, x and y; they do not overlap.  Returns
+ * whether any sample written is bad. */
+static inline __attribute__((always_inline)) int
+henon_row(const double *restrict in, double *restrict out, size_t n, double gamma, double delta,
+          double bound)
 {
-    const double gamma = params[0], delta = params[1];
+    int bad = 0;
     for (size_t i = 0; i < n; i++) {
         const double x = in[i], y = in[n + i];
-        out[i] = (y + 1.0) - (gamma * x) * x;
-        out[n + i] = delta * x;
+        const double nx = (y + 1.0) - (gamma * x) * x, ny = delta * x;
+        out[i] = nx;
+        out[n + i] = ny;
+        bad |= BAD(nx) | BAD(ny);
     }
+    return bad;
+}
+
+/* `rows` steps of the map for n orbits into `out`, a C-contiguous
+ * (rows, 2, n) block, from `src` as chaoswpt_lorenz_rk4_rows steps the flow.
+ * `params` holds gamma and delta. */
+SIMD_CLONES
+int chaoswpt_henon_rows(const double *src, double *out, size_t rows, size_t n,
+                        const double *restrict params, double bound)
+{
+    const double gamma = params[0], delta = params[1];
+    int bad = 0;
+    for (size_t k = 0; k < rows; k++, src = out, out += 2 * n)
+        bad |= henon_row(src, out, n, gamma, delta, bound);
+    return bad;
 }
 
 /* One row of the settling scan: fold row `x` of a (dim, n) sample into the

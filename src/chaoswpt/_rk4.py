@@ -1,10 +1,13 @@
 """The compiled ensemble loops (``_rk4.c``), built and loaded on first use.
 
-``_rk4.c`` holds the Lorenz RK4 step, the Henon map step, an ensemble block's
-moment, peak and power sums and a chunk's backward settling scan, each in the
-operation order of the numpy code it replaces, so every path agrees bit for
-bit.  Its loops run across orbits at SIMD width; on x86-64 with glibc the
-loader picks the AVX-512, AVX2 or baseline clone the CPU runs.
+``_rk4.c`` holds the Lorenz RK4 steps and the Henon map steps of a whole
+block of samples, each of which also flags whether any sample it wrote is
+beyond the divergence bound or not finite, an ensemble block's moment, peak
+and power sums and a chunk's backward settling scan.  Each does its
+arithmetic in the operation order of the numpy code it replaces, so every
+path agrees bit for bit.  Its loops run across orbits at SIMD width; on
+x86-64 with glibc the loader picks the AVX-512, AVX2 or baseline clone the
+CPU runs.
 
 The package ships the C source, not a binary.  :func:`kernel` compiles it with
 the system's ``cc`` into ``$XDG_CACHE_HOME/chaoswpt`` (``~/.cache/chaoswpt``
@@ -15,10 +18,10 @@ temporary name and renamed into place, so processes building at once do not
 clash.  A build also removes the cached libraries of any key last modified
 over 30 days ago.  Without a compiler, or when the build or load fails,
 :func:`kernel` warns once and returns None: :func:`chaoswpt.dynamics.rk4_step`
-and :func:`chaoswpt.dynamics.henon_step` take the textbook step, single orbits
-(trajectories, fig3 points) included, and :func:`chaoswpt.montecarlo.run_ensemble`
-adds the sums with ``_block_moments`` and scans with ``_quiet_counts``, with
-the same results.
+and :func:`chaoswpt.dynamics.henon_step` fill the block one textbook step at a
+time, single orbits (trajectories, fig3 points) included, and
+:func:`chaoswpt.montecarlo.run_ensemble` adds the sums with ``_block_moments``
+and scans with ``_quiet_counts``, with the same results.
 """
 
 from __future__ import annotations
@@ -49,12 +52,12 @@ _STALE_DAYS = 30
 class Kernel(NamedTuple):
     """The library's functions, as ctypes functions."""
 
-    #: ``chaoswpt_lorenz_rk4(in, out, n, rates)``
-    step: Callable[..., None]
+    #: ``chaoswpt_lorenz_rk4_rows(src, out, rows, n, rates, bound)``, returns the bad-sample flag
+    lorenz_rows: Callable[..., int]
     #: ``chaoswpt_block_moments(x, rows, stride, n, c, p, acc)``
     moments: Callable[..., None]
-    #: ``chaoswpt_henon(in, out, n, params)``
-    henon: Callable[..., None]
+    #: ``chaoswpt_henon_rows(src, out, rows, n, params, bound)``, returns the bad-sample flag
+    henon_rows: Callable[..., int]
     #: ``chaoswpt_quiet_rows(det, rows, dim, n, tol, work, count)``
     quiet: Callable[..., None]
 
@@ -156,12 +159,12 @@ def _load(path: str) -> Kernel:
     """Every function of the library at ``path``; AttributeError when one is missing."""
     lib = ctypes.CDLL(path)
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
-    found = Kernel(lib.chaoswpt_lorenz_rk4, lib.chaoswpt_block_moments, lib.chaoswpt_henon,
+    found = Kernel(lib.chaoswpt_lorenz_rk4_rows, lib.chaoswpt_block_moments, lib.chaoswpt_henon_rows,
                    lib.chaoswpt_quiet_rows)
-    found.step.argtypes = [pointer, pointer, size, pointer]
+    for rows in (found.lorenz_rows, found.henon_rows):
+        rows.argtypes = [pointer, pointer, size, size, pointer, ctypes.c_double]
+        rows.restype = ctypes.c_int
     found.moments.argtypes = [pointer, size, size, size, size, size, pointer]
-    found.henon.argtypes = [pointer, pointer, size, pointer]
     found.quiet.argtypes = [pointer, size, size, size, ctypes.c_double, pointer, pointer]
-    for fn in found:
-        fn.restype = None
+    found.moments.restype = found.quiet.restype = None
     return found

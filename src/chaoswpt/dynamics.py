@@ -15,13 +15,14 @@ map x' = y + 1 - gamma*x^2, y' = delta*x.
 Integration is fixed-step classical fourth-order Runge-Kutta so that runs are
 bit-reproducible for a given (initial point, dt, horizon).  One time-blocked
 core, :func:`sample_blocks`, advances every orbit, single orbits and ensembles
-alike, one step at a time into a preallocated block of samples.  The Lorenz
-step and the map step each run a small C function (``_rk4.c``) that
-:mod:`chaoswpt._rk4` compiles on first use and that runs across the orbits at
-SIMD width, reading the system's constants through one pointer; without a
-compiler the textbook step runs on the row's arrays, or on its Python floats
-when it is one orbit wide, and its result is written into the block.  Every
-path agrees bit for bit.
+alike, a block of samples at a time into a preallocated buffer.  The flow and
+the map each fill a whole block in one call of a small C function
+(``_rk4.c``) that :mod:`chaoswpt._rk4` compiles on first use: it runs across
+the orbits at SIMD width, reads the system's constants through one pointer,
+and flags whether any sample it wrote is beyond the divergence bound or not
+finite.  Without a compiler the textbook step fills the block one row at a
+time, on the rows' arrays, or on Python floats when the block is one orbit
+wide.  Every path agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ STATE_DIM = {"lorenz": 3, "henon": 2}
 
 #: bytes of samples one block of an ensemble holds; sets the block length
 _BLOCK_BYTES = 1 << 18
-#: longest block, which bounds the per-row work table of a one-orbit block
+#: longest block: one orbit's block stays small (24 KB for the flow), and its
+#: one step call costs a few percent of its rows' compiled steps
 _BLOCK_ROWS_MAX = 1024
 
 
@@ -160,11 +162,11 @@ def lorenz_rates(x, y, z, consts):
 
 
 def lorenz_step(dt: float, consts: tuple):
-    """The flow's ``step(s, work)`` for :func:`sample_blocks`: one :func:`rk4_step`.
+    """The flow's ``step(s, work)`` for :func:`sample_blocks`: one :func:`rk4_step` per block.
 
     dt and ``consts`` are packed here, once, into the array of doubles the
     compiled kernel reads them from; looking its address up costs about as
-    much as a C step of a few hundred orbits, so no step does it.
+    much as a C step of a few hundred orbits, so no block does it.
     """
     packed = np.array((dt, *consts))
     rates = (packed, packed.ctypes.data)
@@ -176,40 +178,71 @@ def lorenz_step(dt: float, consts: tuple):
 
 
 def rk4_step(x, y, z, dt, consts, work, rates):
-    """One classical Runge-Kutta step of the block row (x, y, z) into the next row.
+    """Fill a block with classical Runge-Kutta steps; returns whether a sample is bad.
 
-    ``rates`` holds dt and ``consts`` as :func:`lorenz_step` packs them for
-    the compiled kernel: an array of doubles and its address.  ``work`` is the
-    next row's entry from :func:`sample_blocks`: its component arrays and the
-    addresses of (x, y, z)'s row and of its own.  The compiled kernel writes
-    the new state there; without it the textbook step below is copied in, on
-    Python floats when the row is one orbit wide, where a numpy call costs as
-    much as ~30 float operations.  Returns the component arrays.
+    ``x``, ``y`` and ``z`` are the (m, width) component views of the block's
+    rows, and ``work`` is the buffer's entry from :func:`sample_blocks`.  Row 0
+    receives the step of the buffer's last row, and row i the step of row
+    i - 1.  ``rates`` holds dt and ``consts`` as :func:`lorenz_step` packs
+    them for the compiled kernel: an array of doubles and its address.  The
+    kernel fills the block in one call; without it :func:`_textbook_rows`
+    does.  Returns whether any sample written is beyond ``work``'s bound or
+    not finite.
     """
-    row = work[0]
     kernel = _rk4.kernel()
     if kernel is not None:
-        kernel.step(work[1], work[2], len(x), rates[1])
-        return row
-    one = len(x) == 1
-    if one:
-        x, y, z = x.item(), y.item(), z.item()
+        _, src, out, bound = work
+        return kernel.lorenz_rows(src, out, *x.shape, rates[1], bound)
     h = 0.5 * dt
     w = dt / 6.0
-    k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
-    k2x, k2y, k2z = lorenz_rates(x + h * k1x, y + h * k1y, z + h * k1z, consts)
-    k3x, k3y, k3z = lorenz_rates(x + h * k2x, y + h * k2y, z + h * k2z, consts)
-    k4x, k4y, k4z = lorenz_rates(x + dt * k3x, y + dt * k3y, z + dt * k3z, consts)
-    new = (
-        x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
-        z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z),
-    )
-    if one:
-        row[0][0], row[1][0], row[2][0] = new
-    else:
-        row[0][...], row[1][...], row[2][...] = new
-    return row
+
+    def advance(s, out=None):
+        x, y, z = s
+        k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
+        k2x, k2y, k2z = lorenz_rates(x + h * k1x, y + h * k1y, z + h * k1z, consts)
+        k3x, k3y, k3z = lorenz_rates(x + h * k2x, y + h * k2y, z + h * k2z, consts)
+        k4x, k4y, k4z = lorenz_rates(x + dt * k3x, y + dt * k3y, z + dt * k3z, consts)
+        dx = w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        dy = w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        dz = w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        if out is None:
+            return x + dx, y + dy, z + dz
+        return np.add(x, dx, out=out[0]), np.add(y, dy, out=out[1]), np.add(z, dz, out=out[2])
+
+    return _textbook_rows(advance, (x, y, z), work)
+
+
+def _textbook_rows(advance, comps, work):
+    """Without the compiled kernel, fill a block one textbook step at a time.
+
+    ``comps`` are the (m, width) component views of the block's rows and
+    ``work`` the buffer's entry from :func:`sample_blocks`.  Row i receives
+    ``advance`` of row i - 1, row 0 that of the buffer's last row:
+    ``advance(s, out)`` returns the state after ``s`` and writes it into the
+    arrays ``out`` when they are given.  One orbit steps on Python floats,
+    where a numpy call costs as much as ~30 float operations, and its columns
+    are written once.  An orbit that leaves the bound overflows until the
+    block ends, without numpy warnings.  Returns whether any sample is beyond
+    the bound or not finite.
+    """
+    buffer, _, _, bound = work
+    m, width = comps[0].shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        if width == 1:
+            s = tuple(c.item() for c in buffer[-1])
+            rows = []
+            for _ in range(m):
+                s = advance(s)
+                rows.append(s)
+            for c, column in zip(comps, zip(*rows)):
+                c[:, 0] = column
+        else:
+            s = tuple(buffer[-1])
+            for i in range(m):
+                s = advance(s, [c[i] for c in comps])
+    # NaN fails both comparisons
+    samples = buffer[:m]
+    return not (samples.max() <= bound and -bound <= samples.min())
 
 
 def lorenz_derivative(
@@ -245,50 +278,47 @@ def block_rows(dim: int, width: int) -> int:
 def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_DIVERGENCE_BOUND):
     """Advance ``width`` orbits ``n_steps`` steps; yield their samples block by block.
 
-    ``state`` is a (dim, width) array, one column per orbit.  ``step(s, work)``
-    maps the components of a state to those of the next one, as
-    :func:`lorenz_step` and :func:`henon_map_step` build it.  ``s`` is the
-    ``dim`` component arrays of a block row, and ``work`` is the entry of the
-    row that receives the result: its component arrays and the addresses of
-    ``s``'s row and of its own.  ``step`` writes the result there and returns
-    that row's components.
+    ``state`` is a (dim, width) array, one column per orbit.  ``step(s,
+    work)`` fills one block, as :func:`lorenz_step` and :func:`henon_map_step`
+    build it.  ``s`` is the ``dim`` (m, width) component views of the block's
+    m rows, the first m of a buffer.  ``work`` holds that buffer, the address
+    of its last row, where the start and then each block's last sample lie,
+    the buffer's own address, and the bound.  ``step`` writes row 0 from the
+    last row and row i from row i - 1, and returns whether any sample written
+    is beyond the bound or not finite.
 
     Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
     holds the samples k0 .. k0 + m - 1; the first block is the initial state
     alone.  Every block is a C-contiguous array of doubles, whatever the
     strides of ``state``.  ``bad`` is None, or an (m, width) mask of the
-    samples with a component beyond ``bound`` or not finite.  An orbit is dead from its first
-    bad sample on: its columns read 0 from the block where that happened, and
-    it restarts from the origin at every block boundary.  The buffer behind
+    samples with a component beyond ``bound`` or not finite, whatever the
+    bound, an infinite one included.  An orbit is dead from its first bad
+    sample on: its columns read 0 from the block where that happened, and it
+    restarts from the origin at every block boundary.  The buffer behind
     ``samples`` is reused, so a caller must be done with one block before it
     asks for the next.
     """
     dim, width = state.shape
     rows = block_rows(dim, width)
-    # step i of a block reads row (i - 1) mod R and writes row i; the start is
-    # copied into the last row, so the first step reads it like the rest
+    # every block but the first reads the last row, where the previous one
+    # ended; the start is copied there, so the first block reads it too
     block = np.empty((min(rows, max(n_steps, 2)), dim, width))
     block[-1] = state
     yield 0, block[-1:], None
+    # beyond the largest double only inf lies, so an infinite bound still
+    # holds inf back
+    bound = min(bound, sys.float_info.max)
+    work = (block, block[-1].ctypes.data, block.ctypes.data, bound)
     dead = np.zeros(width, dtype=bool)
-    base, stride = block.ctypes.data, block.strides[0]
-    # the components and addresses are looked up once here: a per-step lookup
-    # costs as much as half a C step
-    works = [(list(row), base + (i - 1) % len(block) * stride, base + i * stride)
-             for i, row in enumerate(block)]
-    s = works[-1][0]
     k0 = 1
     while k0 <= n_steps:
         m = min(rows, n_steps + 1 - k0)
         samples = block[:m]
+        bad = None
         # an orbit that leaves the bound mid-block overflows until the block
         # ends; it is zeroed below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for work in works[:m]:
-                s = step(s, work)
-        bad = None
-        # NaN fails both comparisons
-        if not (samples.max() <= bound and -bound <= samples.min()):
+        if step(tuple(samples.transpose(1, 0, 2)), work):
+            # NaN fails the comparison
             bad = ~(np.abs(samples) <= bound).all(axis=1)
             dead |= bad.any(axis=0)
         if dead.any():
@@ -358,7 +388,7 @@ def henon_constants(params: HenonParams) -> tuple:
 
 
 def henon_map_step(params: HenonParams):
-    """The map's ``step(s, work)`` for :func:`sample_blocks`: one :func:`henon_step`.
+    """The map's ``step(s, work)`` for :func:`sample_blocks`: one :func:`henon_step` per block.
 
     gamma and delta are packed once, by :func:`henon_constants`.
     """
@@ -371,31 +401,33 @@ def henon_map_step(params: HenonParams):
 
 
 def henon_step(state: Sequence[float], params: HenonParams, work=None, consts=None):
-    """One application of the map.
+    """Applications of the map.
 
-    Without ``work`` the new state is returned as a tuple.  ``work`` is a
-    block row's entry from :func:`sample_blocks`, and ``consts`` holds gamma
-    and delta as :func:`henon_constants` packs them.  The compiled kernel
-    writes the new state into that row; without it the textbook map does, on
-    Python floats when the row is one orbit wide.  Returns the row's two
-    component arrays.
+    Without ``work``, one application to the state (x, y), returned as a
+    tuple.  With it, ``state`` is a block's two (m, width) component views
+    and ``work`` the buffer's entry from :func:`sample_blocks`, and
+    ``consts`` holds gamma and delta as :func:`henon_constants` packs them.
+    Row 0 receives the map of the buffer's last row, and row i that of row
+    i - 1: the compiled kernel fills the block in one call, and without it
+    :func:`_textbook_rows` does.  Returns whether any sample written is beyond
+    ``work``'s bound or not finite.
     """
     if work is None:
         x, y = state
         return y + 1.0 - params.gamma * x * x, params.delta * x
-    row = work[0]
     kernel = _rk4.kernel()
     if kernel is not None:
-        kernel.henon(work[1], work[2], len(row[0]), consts[1])
-        return row
-    x, y = state
-    if len(x) == 1:
-        x, y = x.item(), y.item()
-        row[0][0], row[1][0] = y + 1.0 - params.gamma * x * x, params.delta * x
-    else:
-        np.subtract(y + 1.0, params.gamma * x * x, out=row[0])
-        np.multiply(params.delta, x, out=row[1])
-    return row
+        _, src, out, bound = work
+        return kernel.henon_rows(src, out, *state[0].shape, consts[1], bound)
+
+    def advance(s, out=None):
+        if out is None:
+            return henon_step(s, params)
+        x, y = s
+        return (np.subtract(y + 1.0, params.gamma * x * x, out=out[0]),
+                np.multiply(params.delta, x, out=out[1]))
+
+    return _textbook_rows(advance, state, work)
 
 
 def iterate_henon(

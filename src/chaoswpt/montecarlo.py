@@ -11,8 +11,8 @@ in numpy.
 
 Realizations are integrated a chunk at a time by the same time-blocked core
 as single orbits (:func:`chaoswpt.dynamics.sample_blocks`), which steps a
-chunk of any width into a preallocated block with the same arithmetic in the
-same order.  The core hands over a small block of consecutive samples at a
+chunk of any width into a preallocated block, one call per block, with the
+same arithmetic in the same order.  The core hands over a small block of consecutive samples at a
 time, and the bookkeeping runs once per block, vectorised over time: the
 divergence mask, the second/fourth moment, peak and power sums (added in
 step order, so the bits do not depend on the block length), and a strided
@@ -346,7 +346,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
         consts = henon_constants(config.henon)
 
         # henon_map_step's step, but calling this module's henon_step, which
-        # perfbench's tracer wraps to count one call per step
+        # perfbench's tracer wraps to count each block's realization-steps
         def step(s, work):
             return henon_step(s, config.henon, work, consts)
 

@@ -8,13 +8,15 @@ map steps where the library builds, and the textbook steps copied into the
 block otherwise (on Python floats for one orbit).
 """
 
+import collections
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from chaoswpt import dynamics
+from chaoswpt import _rk4, dynamics, montecarlo
 from chaoswpt.dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
     HenonParams,
@@ -27,6 +29,7 @@ from chaoswpt.dynamics import (
     sample_blocks,
 )
 from chaoswpt.errors import DivergenceError
+from chaoswpt.montecarlo import EnsembleConfig, SystemConfig, run_ensemble
 
 CHAOTIC = LorenzParams(sigma=10.0, r=28.0, beta=8.0 / 3.0)
 HENON = HenonParams(1.4, 0.3)
@@ -329,3 +332,71 @@ def test_map_orbits_die_at_a_first_sample_beyond_the_bound_or_not_finite(rk4_pat
             # the first block after the start holds step k, so from there on the orbit reads 0
             expected[1:] = 0.0
         assert np.array_equal(got[:, :, c], expected), c
+
+
+def test_a_non_finite_sample_is_bad_under_an_infinite_bound(rk4_path):
+    # 1e200 overflows at the first step of the map and of the flow; abs(inf)
+    # <= inf holds, yet a sample that is not finite is bad whatever the bound
+    with pytest.raises(DivergenceError) as exc:
+        iterate_henon((1e200, 0.0), HENON, n_steps=4, divergence_bound=math.inf)
+    assert exc.value.step == 1
+    with pytest.raises(DivergenceError) as exc:
+        integrate_lorenz((1e200, 1e200, 1e200), CHAOTIC, dt=DT, horizon=4 * DT, divergence_bound=math.inf)
+    assert exc.value.step == 1
+    # the largest double is within it
+    traj = iterate_henon((0.0, sys.float_info.max), HenonParams(1e-300, 0.1), n_steps=1,
+                         divergence_bound=math.inf)
+    assert traj.samples[1, 0] == sys.float_info.max
+
+
+@pytest.mark.parametrize("bound", [2.0, DEFAULT_DIVERGENCE_BOUND, sys.float_info.max])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_a_sample_at_the_bound_is_good_and_one_ulp_past_it_bad(rk4_path, bound, sign):
+    # gamma 1e-300 takes (0, v - 1) to (v, 0); v - 1 is exact for each v here
+    params = HenonParams(1e-300, 0.1)
+    traj = iterate_henon((0.0, sign * bound - 1.0), params, n_steps=1, divergence_bound=bound)
+    assert traj.samples[1, 0] == sign * bound
+    past = sign * math.nextafter(bound, math.inf)
+    with pytest.raises(DivergenceError) as exc:
+        iterate_henon((0.0, past - 1.0), params, n_steps=1, divergence_bound=bound)
+    assert exc.value.step == 1
+
+    # the flow's first step from here grows y past the start's magnitude
+    s0 = (1.0, 20.0, 1.0)
+    v = np.abs(integrate_lorenz(s0, CHAOTIC, dt=DT, horizon=DT).samples[1]).max()
+    assert v > 20.0
+    integrate_lorenz(s0, CHAOTIC, dt=DT, horizon=DT, divergence_bound=v)
+    with pytest.raises(DivergenceError) as exc:
+        integrate_lorenz(s0, CHAOTIC, dt=DT, horizon=DT, divergence_bound=np.nextafter(v, 0.0))
+    assert exc.value.step == 1
+
+
+def test_the_compiled_library_is_called_once_per_block(monkeypatch):
+    kernel = _rk4.kernel()
+    if kernel is None:
+        pytest.skip("the compiled RK4 kernel cannot be built here")
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(kernel, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    counting = kernel._replace(lorenz_rows=counted("lorenz_rows"), henon_rows=counted("henon_rows"))
+    monkeypatch.setattr(_rk4, "kernel", lambda: counting)
+
+    integrate_lorenz((1.0, 1.0, 20.0), CHAOTIC, dt=DT, horizon=3000 * DT)
+    assert calls == {"lorenz_rows": math.ceil(3000 / block_rows(3, 1))}
+    calls.clear()
+    iterate_henon((0.1, -0.2), HENON, n_steps=3000)
+    assert calls == {"henon_rows": math.ceil(3000 / block_rows(2, 1))}
+    calls.clear()
+    # two chunks, 64 and 36 realizations wide
+    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+    run_ensemble(SystemConfig(system="henon", henon=HenonParams(0.2, 0.1),
+                              ensemble=EnsembleConfig(n_realizations=100, horizon=1000.0, seed=3)))
+    assert calls == {"henon_rows": math.ceil(1000 / block_rows(2, 64)) + math.ceil(1000 / block_rows(2, 36))}

@@ -1,5 +1,6 @@
 """Building, caching and loading the compiled ensemble library, and the numpy fallback."""
 
+import functools
 import os
 import platform
 import shutil
@@ -69,8 +70,15 @@ def _step_only_library(path):
     _compile(path, b"void chaoswpt_lorenz_rk4(void) {}", *_rk4.CFLAGS)
 
 
+def _single_row_library(path):
+    # the source before its block steps: four functions, each step one row
+    _compile(path, b"".join(b"void chaoswpt_%s(void) {}\n" % name
+                            for name in (b"lorenz_rk4", b"block_moments", b"henon", b"quiet_rows")),
+             *_rk4.CFLAGS)
+
+
 @needs_cc
-@pytest.mark.parametrize("spoil", [_truncated_library, _foreign_library, _step_only_library])
+@pytest.mark.parametrize("spoil", [_truncated_library, _foreign_library, _step_only_library, _single_row_library])
 def test_a_corrupt_cached_library_is_rebuilt(fresh_process, spoil):
     path = _rk4.library_path(_rk4.SOURCE.read_bytes())
     spoil(path)
@@ -112,6 +120,67 @@ def builds(tmp_path_factory):
     return _rk4._load(str(scalar)), libs
 
 
+#: the largest double: sample_blocks clamps an infinite bound to it
+_MAX = sys.float_info.max
+
+
+def _block_sizes(n_steps, rows):
+    """Blocks of 1 row, 2 rows, then ``rows`` rows, and a partial last block, ``n_steps`` rows in all."""
+    sizes = [1, 2] + [rows] * ((n_steps - 3) // rows)
+    sizes.append(n_steps - sum(sizes))
+    assert 0 < sizes[-1] < rows
+    return sizes
+
+
+def _fill(lib, name, src, m, consts, bound):
+    """The flag and the (m, dim, width) block that ``lib``'s block step ``name`` fills from ``src``."""
+    src = np.ascontiguousarray(src)
+    block = np.empty((m,) + src.shape)
+    flag = getattr(lib, name)(src.ctypes.data, block.ctypes.data, m, src.shape[1], consts.ctypes.data, bound)
+    return flag, block
+
+
+def _assert_flags_at_block_ends(libs, name, consts, calm, start, bound, width):
+    """Blocks whose first or whose last row holds an orbit's first sample beyond ``bound``.
+
+    Column c of an otherwise ``calm`` state starts at ``start``: first lane 0,
+    then the last lane, which a width off the vector length steps in the
+    scalar tail.  Every build writes the same bytes, and raises the flag just
+    where numpy finds a sample beyond the bound or not finite.  A finite first
+    bad sample also bounds the block that ends on it: at that bound the
+    block is good, one ulp below it bad.  Returns the first bad sample's row.
+    """
+    dim = len(calm)
+    sizes = (1, 2, block_rows(dim, width))
+    consts = np.array(consts)
+    # the columns are independent, so one orbit alone gives every block's start
+    _, orbit = _fill(libs[0], name, np.array(start, dtype=float)[:, None], 4000, consts, _MAX)
+    orbit = orbit[:, :, 0]
+    bad = ~(np.abs(orbit) <= bound).all(axis=1)
+    j = int(np.argmax(bad))
+    assert bad[j] and max(sizes) <= j <= len(orbit) - max(sizes)
+    magnitude = np.abs(orbit[j]).max()
+    bounds = [bound] + ([magnitude, np.nextafter(magnitude, 0.0)] if np.isfinite(magnitude) else [])
+    src = np.repeat(np.array(calm, dtype=float)[:, None], width, axis=1)
+    for c in sorted({0, width - 1}):
+        for m in sizes:
+            for first in (j - m, j - 1):  # the bad sample in the last row, then in the first
+                src[:, c] = orbit[first]
+                for b in bounds:
+                    flags, blocks = zip(*(_fill(lib, name, src, m, consts, b) for lib in libs))
+                    assert np.array_equal(blocks[0][:, :, c], orbit[first + 1:first + 1 + m], equal_nan=True)
+                    expected = not (np.abs(blocks[0]) <= b).all()
+                    assert [bool(f) for f in flags] == [expected] * len(libs), (c, m, first, b)
+                    for block in blocks[1:]:
+                        assert block.tobytes() == blocks[0].tobytes(), (c, m, first, b)
+                    if b == bound:
+                        assert expected
+                    elif first == j - m:
+                        assert expected == (b < magnitude)
+            src[:, c] = calm
+    return orbit[j]
+
+
 @needs_cc
 @pytest.mark.parametrize("eps", [1.0, 6.0])
 @pytest.mark.parametrize("width", [1, 7, 1000, 1001, 2048])
@@ -124,41 +193,45 @@ def test_the_vectorised_library_equals_a_scalar_build(builds, width, eps):
     rates = np.array((1e-3, *rate_constants(LorenzParams(10.0, 28.0, 8.0 / 3.0), scaling)))
     rows = block_rows(3, width)
     start = np.random.default_rng(width).uniform((-15.0, -15.0, 5.0), (15.0, 15.0, 40.0), (width, 3)).T / eps
+    # the flow's blocks as sample_blocks lays them out: each reads the block's
+    # last row, where the previous block's last sample is copied
     blocks = [np.empty((rows, 3, width)) for _ in libs]
     sums = [np.zeros((4, width)) for _ in libs]
     for block in blocks:
         block[-1] = start
     # windows as a 4000-step run_ensemble opens them: moments from step 2000, power from 400
     n_steps, cutoff, papr_start = 4000, 2000, 400
-    row_bytes = blocks[0].strides[0]
-    for k in range(1, n_steps + 1):
-        i = (k - 1) % rows
-        for lib, block in zip(libs, blocks):
+    k0 = 1
+    for m in _block_sizes(n_steps, rows):
+        c, p = max(cutoff - k0, 0), max(papr_start - k0, 0)
+        for lib, block, acc in zip(libs, blocks, sums):
             base = block.ctypes.data
-            lib.step(base + (i - 1) % rows * row_bytes, base + i * row_bytes, width, rates.ctypes.data)
+            assert lib.lorenz_rows(base + (rows - 1) * block.strides[0], base, m, width, rates.ctypes.data,
+                                   DEFAULT_DIVERGENCE_BOUND) == 0
+            lib.moments(base, m, 3 * width, width, c, p, acc.ctypes.data)
+            block[-1] = block[m - 1]
         for block in blocks[1:]:
-            assert np.array_equal(blocks[0][i], block[i]), k
-        if i == rows - 1 or k == n_steps:
-            k0 = k - i
-            c, p = max(cutoff - k0, 0), max(papr_start - k0, 0)
-            for lib, block, acc in zip(libs, blocks, sums):
-                lib.moments(block.ctypes.data, i + 1, 3 * width, width, c, p, acc.ctypes.data)
+            assert block[:m].tobytes() == blocks[0][:m].tobytes(), k0
+        k0 += m
     assert (sums[0] > 0).all()
     for acc in sums[1:]:
         assert acc.tobytes() == sums[0].tobytes()
 
     # the map, chaotic at eps 1 and attracting at eps 6, every sample kept as
-    # run_ensemble keeps its detection rows
+    # run_ensemble keeps its detection rows: each block reads the row before it
     params = np.array((1.4, 0.3) if eps == 1.0 else (0.002, 0.9))
     n_map = 1000
     orbits = [np.empty((n_map + 1, 2, width)) for _ in libs]
     for orbit in orbits:
         orbit[0] = start[:2] / 100.0
     row_bytes = orbits[0].strides[0]
-    for k in range(1, n_map + 1):
+    k0 = 1
+    for m in _block_sizes(n_map, block_rows(2, width)):
         for lib, orbit in zip(libs, orbits):
             base = orbit.ctypes.data
-            lib.henon(base + (k - 1) * row_bytes, base + k * row_bytes, width, params.ctypes.data)
+            assert lib.henon_rows(base + (k0 - 1) * row_bytes, base + k0 * row_bytes, m, width,
+                                  params.ctypes.data, DEFAULT_DIVERGENCE_BOUND) == 0
+        k0 += m
     assert np.isfinite(orbits[0]).all()
     for orbit in orbits[1:]:
         assert orbit.tobytes() == orbits[0].tobytes()
@@ -175,6 +248,21 @@ def test_the_vectorised_library_equals_a_scalar_build(builds, width, eps):
         assert counts[0].min() > (800 if far else 0)
         for count in counts[1:]:
             assert np.array_equal(count, counts[0])
+
+    # bad samples at either end of a block.  The map x' = y + 1, y' = delta x
+    # holds (1, delta) / (1 - delta) fixed, and from (1, 1) or (-2, -2) it
+    # grows: through 1e6 at delta 1.01, and at delta 3 to inf or -inf.  The
+    # flow dx = -x, dy = -x (6 z) - y, dz = z holds the origin fixed, and from
+    # (0, 0, 1e-300) it grows z through 1e6, until 6 z overflows: 0 (6 z) is
+    # NaN, and the next sample is NaN where no component overflowed.
+    flow = (0.5, 1.0, 0.0, -1.0, 0.0, 1.0, 6.0, 0.0)
+    at = functools.partial(_assert_flags_at_block_ends, libs, width=width)
+    assert np.isfinite(at("henon_rows", (0.0, 1.01), (-100.0, -101.0), (1.0, 1.0), DEFAULT_DIVERGENCE_BOUND)).all()
+    assert np.isposinf(at("henon_rows", (0.0, 3.0), (-0.5, -1.5), (1.0, 1.0), _MAX)).any()
+    assert np.isneginf(at("henon_rows", (0.0, 3.0), (-0.5, -1.5), (-2.0, -2.0), _MAX)).any()
+    assert np.isfinite(at("lorenz_rows", flow, (0.0, 0.0, 0.0), (0.0, 0.0, 1e-300), DEFAULT_DIVERGENCE_BOUND)).all()
+    first_nan = at("lorenz_rows", flow, (0.0, 0.0, 0.0), (0.0, 0.0, 1e-300), _MAX)
+    assert np.isnan(first_nan).any() and not np.isinf(first_nan).any()
 
 
 def _block(rng, rows, dim, width):
