@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -252,12 +253,15 @@ def _convert(hint, raw, label: str, problems: list[str]):
     if isinstance(raw, bool) or not isinstance(raw, (int, float) if hint is float else hint):
         problems.append(f"{label}: must be {_NOUNS[hint]}")
         return _BAD
-    if hint is float and isinstance(raw, int):
-        # kept an int, so that its manifest bytes do not change
+    if hint is float:
+        # an int is kept an int, so that its manifest bytes do not change
         try:
-            float(raw)
+            finite = math.isfinite(raw)
         except OverflowError:
             problems.append(f"{label}: must be a number within double range")
+            return _BAD
+        if not finite:
+            problems.append(f"{label}: must be a finite number")
             return _BAD
     return raw
 

@@ -20,9 +20,10 @@ the map each fill a whole block in one call of a small C function
 (``_rk4.c``) that :mod:`chaoswpt._rk4` compiles on first use: it runs across
 the orbits at SIMD width, reads the system's constants through one pointer,
 and flags whether any sample it wrote is beyond the divergence bound or not
-finite.  Without a compiler the textbook step fills the block one row at a
-time, on the rows' arrays, or on Python floats when the block is one orbit
-wide.  Every path agrees bit for bit.
+finite.  Without a compiler each system's one textbook step, a pure function
+from a state to the next, advances the block a row at a time, on Python
+floats when the block is one orbit wide and on the rows' arrays otherwise,
+and the block is written once.  Every path agrees bit for bit.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ def check_array_size(shape: tuple[int, ...], what: str) -> None:
 
 
 def rate_constants(params: LorenzParams, scaling: ScalingFactors) -> tuple:
-    """Precomputed coefficient tuple consumed by lorenz_rates / rk4_step."""
+    """Precomputed coefficient tuple consumed by lorenz_rates / lorenz_step."""
     return (
         params.sigma,
         params.r,
@@ -162,7 +163,7 @@ def lorenz_rates(x, y, z, consts):
 
 
 def lorenz_step(dt: float, consts: tuple):
-    """The flow's ``step(s, work)`` for :func:`sample_blocks`: one :func:`rk4_step` per block.
+    """The flow's ``step(samples, work)`` for :func:`sample_blocks`: one :func:`rk4_step` per block.
 
     dt and ``consts`` are packed here, once, into the array of doubles the
     compiled kernel reads them from; looking its address up costs about as
@@ -171,77 +172,68 @@ def lorenz_step(dt: float, consts: tuple):
     packed = np.array((dt, *consts))
     rates = (packed, packed.ctypes.data)
 
-    def step(s, work):
-        return rk4_step(s[0], s[1], s[2], dt, consts, work, rates)
+    def step(samples, work):
+        return rk4_step(samples[:, 0], work, rates)
 
     return step
 
 
-def rk4_step(x, y, z, dt, consts, work, rates):
+def rk4_step(x, work, rates):
     """Fill a block with classical Runge-Kutta steps; returns whether a sample is bad.
 
-    ``x``, ``y`` and ``z`` are the (m, width) component views of the block's
-    rows, and ``work`` is the buffer's entry from :func:`sample_blocks`.  Row 0
-    receives the step of the buffer's last row, and row i the step of row
-    i - 1.  ``rates`` holds dt and ``consts`` as :func:`lorenz_step` packs
-    them for the compiled kernel: an array of doubles and its address.  The
-    kernel fills the block in one call; without it :func:`_textbook_rows`
-    does.  Returns whether any sample written is beyond ``work``'s bound or
-    not finite.
+    ``x`` is the (m, width) view of the block's x components and ``work``
+    the buffer's entry from :func:`sample_blocks`.  Row 0 receives the step
+    of the buffer's last row, and row i the step of row i - 1.  ``rates``
+    holds dt and the rate constants as :func:`lorenz_step` packs them: an
+    array of doubles and its address.  The compiled kernel fills the block in
+    one call; without it :func:`_textbook_rows` does, with the textbook step
+    on those doubles.  Returns whether any sample written is beyond
+    ``work``'s bound or not finite.
     """
     kernel = _rk4.kernel()
     if kernel is not None:
         _, src, out, bound = work
         return kernel.lorenz_rows(src, out, *x.shape, rates[1], bound)
+    dt, *consts = rates[0].tolist()
     h = 0.5 * dt
     w = dt / 6.0
 
-    def advance(s, out=None):
+    def advance(s):
         x, y, z = s
         k1x, k1y, k1z = lorenz_rates(x, y, z, consts)
         k2x, k2y, k2z = lorenz_rates(x + h * k1x, y + h * k1y, z + h * k1z, consts)
         k3x, k3y, k3z = lorenz_rates(x + h * k2x, y + h * k2y, z + h * k2z, consts)
         k4x, k4y, k4z = lorenz_rates(x + dt * k3x, y + dt * k3y, z + dt * k3z, consts)
-        dx = w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        dy = w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        dz = w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        if out is None:
-            return x + dx, y + dy, z + dz
-        return np.add(x, dx, out=out[0]), np.add(y, dy, out=out[1]), np.add(z, dz, out=out[2])
+        return (x + w * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+                y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
+                z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z))
 
-    return _textbook_rows(advance, (x, y, z), work)
+    return _textbook_rows(advance, x.shape[0], work)
 
 
-def _textbook_rows(advance, comps, work):
-    """Without the compiled kernel, fill a block one textbook step at a time.
+def _textbook_rows(advance, m, work):
+    """Without the compiled kernel, fill a block's m rows one textbook step at a time.
 
-    ``comps`` are the (m, width) component views of the block's rows and
+    ``advance(s)`` is a system's pure step, the state after ``s``, and
     ``work`` the buffer's entry from :func:`sample_blocks`.  Row i receives
-    ``advance`` of row i - 1, row 0 that of the buffer's last row:
-    ``advance(s, out)`` returns the state after ``s`` and writes it into the
-    arrays ``out`` when they are given.  One orbit steps on Python floats,
-    where a numpy call costs as much as ~30 float operations, and its columns
-    are written once.  An orbit that leaves the bound overflows until the
-    block ends, without numpy warnings.  Returns whether any sample is beyond
-    the bound or not finite.
+    ``advance`` of row i - 1, row 0 that of the buffer's last row.  One orbit
+    steps on Python floats, where a numpy call costs as much as ~30 float
+    operations, wider blocks on the rows' arrays, and the block is written
+    once.  An orbit that leaves the bound overflows until the block ends,
+    without numpy warnings.  Returns whether any sample is beyond the bound
+    or not finite.
     """
     buffer, _, _, bound = work
-    m, width = comps[0].shape
+    s = buffer[-1]
+    s = s[:, 0].tolist() if s.shape[1] == 1 else tuple(s)
+    rows = []
     with np.errstate(over="ignore", invalid="ignore"):
-        if width == 1:
-            s = tuple(c.item() for c in buffer[-1])
-            rows = []
-            for _ in range(m):
-                s = advance(s)
-                rows.append(s)
-            for c, column in zip(comps, zip(*rows)):
-                c[:, 0] = column
-        else:
-            s = tuple(buffer[-1])
-            for i in range(m):
-                s = advance(s, [c[i] for c in comps])
-    # NaN fails both comparisons
+        for _ in range(m):
+            s = advance(s)
+            rows.extend(s)
     samples = buffer[:m]
+    samples.reshape((len(rows),) + np.shape(s[0]))[...] = rows
+    # NaN fails both comparisons
     return not (samples.max() <= bound and -bound <= samples.min())
 
 
@@ -278,14 +270,14 @@ def block_rows(dim: int, width: int) -> int:
 def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_DIVERGENCE_BOUND):
     """Advance ``width`` orbits ``n_steps`` steps; yield their samples block by block.
 
-    ``state`` is a (dim, width) array, one column per orbit.  ``step(s,
+    ``state`` is a (dim, width) array, one column per orbit.  ``step(samples,
     work)`` fills one block, as :func:`lorenz_step` and :func:`henon_map_step`
-    build it.  ``s`` is the ``dim`` (m, width) component views of the block's
-    m rows, the first m of a buffer.  ``work`` holds that buffer, the address
-    of its last row, where the start and then each block's last sample lie,
-    the buffer's own address, and the bound.  ``step`` writes row 0 from the
-    last row and row i from row i - 1, and returns whether any sample written
-    is beyond the bound or not finite.
+    build it.  ``samples`` is the block itself, the (m, dim, width) first m
+    rows of a buffer.  ``work`` holds that buffer, the address of its last
+    row, where the start and then each block's last sample lie, the buffer's
+    own address, and the bound.  ``step`` writes row 0 from the last row and
+    row i from row i - 1, and returns whether any sample written is beyond
+    the bound or not finite.
 
     Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
     holds the samples k0 .. k0 + m - 1; the first block is the initial state
@@ -317,7 +309,7 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
         bad = None
         # an orbit that leaves the bound mid-block overflows until the block
         # ends; it is zeroed below
-        if step(tuple(samples.transpose(1, 0, 2)), work):
+        if step(samples, work):
             # NaN fails the comparison
             bad = ~(np.abs(samples) <= bound).all(axis=1)
             dead |= bad.any(axis=0)
@@ -388,14 +380,14 @@ def henon_constants(params: HenonParams) -> tuple:
 
 
 def henon_map_step(params: HenonParams):
-    """The map's ``step(s, work)`` for :func:`sample_blocks`: one :func:`henon_step` per block.
+    """The map's ``step(samples, work)`` for :func:`sample_blocks`: one :func:`henon_step` per block.
 
     gamma and delta are packed once, by :func:`henon_constants`.
     """
     consts = henon_constants(params)
 
-    def step(s, work):
-        return henon_step(s, params, work, consts)
+    def step(samples, work):
+        return henon_step(samples.transpose(1, 0, 2), params, work, consts)
 
     return step
 
@@ -403,13 +395,14 @@ def henon_map_step(params: HenonParams):
 def henon_step(state: Sequence[float], params: HenonParams, work=None, consts=None):
     """Applications of the map.
 
-    Without ``work``, one application to the state (x, y), returned as a
-    tuple.  With it, ``state`` is a block's two (m, width) component views
-    and ``work`` the buffer's entry from :func:`sample_blocks`, and
-    ``consts`` holds gamma and delta as :func:`henon_constants` packs them.
-    Row 0 receives the map of the buffer's last row, and row i that of row
-    i - 1: the compiled kernel fills the block in one call, and without it
-    :func:`_textbook_rows` does.  Returns whether any sample written is beyond
+    Without ``work``, the textbook step: one application to the state (x,
+    y), floats or arrays alike, returned as a tuple.  With it, ``state`` is
+    a block's two (m, width) component views, ``work`` the buffer's entry
+    from :func:`sample_blocks` and ``consts`` gamma and delta as
+    :func:`henon_constants` packs them.  Row 0 receives the map of the
+    buffer's last row, and row i that of row i - 1: the compiled kernel fills
+    the block in one call, and without it :func:`_textbook_rows` does with
+    the textbook step.  Returns whether any sample written is beyond
     ``work``'s bound or not finite.
     """
     if work is None:
@@ -419,15 +412,7 @@ def henon_step(state: Sequence[float], params: HenonParams, work=None, consts=No
     if kernel is not None:
         _, src, out, bound = work
         return kernel.henon_rows(src, out, *state[0].shape, consts[1], bound)
-
-    def advance(s, out=None):
-        if out is None:
-            return henon_step(s, params)
-        x, y = s
-        return (np.subtract(y + 1.0, params.gamma * x * x, out=out[0]),
-                np.multiply(params.delta, x, out=out[1]))
-
-    return _textbook_rows(advance, state, work)
+    return _textbook_rows(lambda s: henon_step(s, params), len(state[0]), work)
 
 
 def iterate_henon(

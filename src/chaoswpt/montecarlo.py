@@ -347,8 +347,8 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
 
         # henon_map_step's step, but calling this module's henon_step, which
         # perfbench's tracer wraps to count each block's realization-steps
-        def step(s, work):
-            return henon_step(s, config.henon, work, consts)
+        def step(samples, work):
+            return henon_step(samples.transpose(1, 0, 2), config.henon, work, consts)
 
     n_steps = steps_for_horizon(ens.horizon, dt)
     stride, n_det = _detection_grid(n_steps, dt)

@@ -24,7 +24,7 @@ def std_coeff():
 
 @pytest.fixture
 def numpy_rk4(monkeypatch):
-    """Force the fallbacks: the textbook Lorenz step copied into the block, and numpy block sums.
+    """Force the fallbacks: each system's textbook step, the block written once, and numpy block sums.
 
     The loader finds no compiled library, so neither of its functions runs.
     """

@@ -372,6 +372,16 @@ def test_cli_integer_beyond_double_range_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_non_finite_number_is_a_config_error(tmp_path, capsys):
+    # used to run, writing blank cells for .nan and inf cells for .inf
+    out = tmp_path / "out"
+    doc = "experiment: sweep\nsystem: multisine\nsweep: {parameter: pt_dbm, values: [.nan, 10]}\n"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+    assert problems == ["  - sweep.values[0]: must be a finite number"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ensemble", [f"{{n_realizations: {10**20}}}", "{horizon: 1.0e+300}"])
 def test_cli_sizes_no_run_can_hold_are_config_errors(tmp_path, capsys, ensemble):
     # used to end in a raw ValueError from np.empty, with exit status 1
@@ -652,6 +662,18 @@ _INVALID = [
     pytest.param(f"link: {{pt_dbm: {_HUGE}}}", "link.pt_dbm", id="huge-pt_dbm"),
     pytest.param(f"scan: {{sigma_values: [10, -{_HUGE}]}}", "scan.sigma_values[1]", id="huge-sigma"),
     pytest.param(f"lorenz: {{r: {_HUGE}}}", "lorenz.r", id="huge-r"),
+    # numbers that are not finite, in float fields and their lists
+    pytest.param("experiment: sweep\nsystem: multisine\nsweep: {parameter: pt_dbm, values: [.nan, .inf, 10]}",
+                 "sweep.values[0]: must be a finite number", id="nan-sweep-value"),
+    pytest.param("experiment: sweep\nsystem: multisine\nsweep: {parameter: pt_dbm, values: [10, .inf]}",
+                 "sweep.values[1]: must be a finite number", id="inf-sweep-value"),
+    pytest.param("fig2: {eps_values: [.inf]}", "fig2.eps_values[0]: must be a finite number", id="inf-eps"),
+    pytest.param("link: {pt_dbm: 1.0e+400}", "link.pt_dbm: must be a finite number", id="overflowing-pt_dbm"),
+    pytest.param("ensemble: {steady_state_tol: .inf}", "ensemble.steady_state_tol: must be a finite number",
+                 id="inf-tol"),
+    pytest.param("rectenna: {k4: .inf}", "rectenna.k4: must be a finite number", id="inf-k4"),
+    pytest.param("ensemble: {init_box: [[-.inf, 1], [0, 1], [0, 1]]}",
+                 "ensemble.init_box[0][0]: must be a finite number", id="inf-init-box"),
     # sizes no array can index
     pytest.param(f"ensemble: {{n_realizations: {10**20}}}", "ensemble.n_realizations", id="huge-n"),
     pytest.param("ensemble: {horizon: 1.0e+300}", "ensemble.horizon", id="huge-ensemble-steps"),

@@ -4,8 +4,8 @@ The oracles below are the schoolbook RK4 and Henon updates, returning fresh
 tuples; they work on Python floats and, elementwise, on numpy arrays.  Every
 state the core yields must equal theirs exactly, at every width, one orbit
 included, across block boundaries, on every path: the compiled Lorenz and
-map steps where the library builds, and the textbook steps copied into the
-block otherwise (on Python floats for one orbit).
+map steps where the library builds, and otherwise each system's textbook
+step, with the block written once (on Python floats for one orbit).
 """
 
 import collections
@@ -302,6 +302,7 @@ def test_divergence_on_the_numpy_path_is_reported_from_first_bad_sample(numpy_rk
     assert_divergence_is_reported_from_first_bad_sample()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("width", [1, 4])
 def test_map_orbits_die_at_a_first_sample_beyond_the_bound_or_not_finite(rk4_path, width):
     # under a bound of 1e300, x = 1e200 overflows to -inf at step 1, x = 1e150
@@ -334,6 +335,7 @@ def test_map_orbits_die_at_a_first_sample_beyond_the_bound_or_not_finite(rk4_pat
         assert np.array_equal(got[:, :, c], expected), c
 
 
+@pytest.mark.filterwarnings("error")
 def test_a_non_finite_sample_is_bad_under_an_infinite_bound(rk4_path):
     # 1e200 overflows at the first step of the map and of the flow; abs(inf)
     # <= inf holds, yet a sample that is not finite is bad whatever the bound
@@ -347,6 +349,26 @@ def test_a_non_finite_sample_is_bad_under_an_infinite_bound(rk4_path):
     traj = iterate_henon((0.0, sys.float_info.max), HenonParams(1e-300, 0.1), n_steps=1,
                          divergence_bound=math.inf)
     assert traj.samples[1, 0] == sys.float_info.max
+
+    # three orbits of the flow in one block: the one at 1e200 overflows at
+    # step 1, and the others keep the textbook bits across a block boundary
+    starts = [(1.0, 1.0, 20.0), (1e200, 1e200, 1e200), (-5.0, 3.0, 25.0)]
+    n_steps = block_rows(3, 3) + 3
+    scaling = ScalingFactors()
+    first_bad = [None] * 3
+    got = []
+    for k0, samples, bad in sample_blocks(lorenz_step(CHAOTIC, scaling), np.array(starts).T.copy(), n_steps,
+                                          math.inf):
+        got.append(samples.copy())
+        if bad is not None:
+            for c in np.flatnonzero(bad.any(axis=0)):
+                if first_bad[c] is None:
+                    first_bad[c] = k0 + int(np.argmax(bad[:, c]))
+    assert first_bad == [None, 1, None]
+    got = np.concatenate(got)
+    for c in (0, 2):
+        expected = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, scaling), starts[c], n_steps)
+        assert np.array_equal(got[:, :, c], np.array(expected)), c
 
 
 @pytest.mark.parametrize("bound", [2.0, DEFAULT_DIVERGENCE_BOUND, sys.float_info.max])
