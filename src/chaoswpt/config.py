@@ -311,19 +311,18 @@ def _cross_block(cfg: ExperimentConfig) -> list[str]:
             problems.append(f"trajectory: needs system {' or '.join(STATE_DIM)}, got {base.system!r}")
         elif len(cfg.trajectory.p_in) != dim:
             problems.append(f"trajectory.p_in: needs {dim} components for system {base.system!r}")
-    elif cfg.experiment == "sweep":
-        parameter = cfg.sweep.parameter
-        if base.system not in _SWEEPABLE[parameter]:
-            problems.append(f"sweep.parameter: {parameter!r} does not apply to system {base.system!r}")
-        else:
-            for value in cfg.sweep.values:
-                if exc := _reason(patched_config, base, parameter, value):
-                    problems.append(f"sweep.values: {exc}")
-    # every ensemble the run will draw; each distinct problem once
-    drawn = [spec.fixed for _, specs in harvest_files(cfg) for spec in specs]
-    reasons = [exc for fixed in drawn if fixed.system in STATE_DIM and (exc := _reason(initial_box, fixed))]
-    problems.extend(dict.fromkeys(f"ensemble.init_box: {exc}" for exc in reasons))
-    return problems
+    elif cfg.experiment == "sweep" and base.system not in _SWEEPABLE[cfg.sweep.parameter]:
+        problems.append(f"sweep.parameter: {cfg.sweep.parameter!r} does not apply to system {base.system!r}")
+    # every value the run's sweeps patch in (once the parameter applies), under
+    # the key that lists it, and every ensemble they draw; each problem once
+    specs = [spec for _, file_specs in harvest_files(cfg) for spec in file_specs]
+    for spec in [] if problems else specs:
+        key = "sweep.values" if cfg.experiment == "sweep" else f"{cfg.experiment}.{spec.parameter}_values"
+        reasons = [exc for value in spec.values if (exc := _reason(patched_config, spec.fixed, spec.parameter, value))]
+        problems.extend(f"{key}: {exc}" for exc in reasons)
+    reasons = [exc for spec in specs if spec.fixed.system in STATE_DIM and (exc := _reason(initial_box, spec.fixed))]
+    problems.extend(f"ensemble.init_box: {exc}" for exc in reasons)
+    return list(dict.fromkeys(problems))
 
 
 def validate_config(text: str) -> ExperimentConfig:

@@ -88,8 +88,8 @@ class HarvestCoefficients:
     c4: float
 
     def __post_init__(self):
-        if self.c2 < 0 or self.c4 < 0:
-            raise ValueError("coefficients must be non-negative")
+        if not (0 <= self.c2 < math.inf and 0 <= self.c4 < math.inf):
+            raise ValueError("DC coefficients must be finite, non-negative doubles")
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,10 @@ class HarvestReport:
 
 def coefficients(link: LinkBudget, rectenna: RectennaParams) -> HarvestCoefficients:
     """Fold link budget and rectifier gains into the two DC coefficients."""
-    pt = link.pt_watts
-    g = link.path_gain
+    try:
+        pt, g = link.pt_watts, link.path_gain
+    except OverflowError:  # beyond double range: the coefficients say so
+        pt = g = math.inf
     return HarvestCoefficients(
         c2=g * rectenna.k2 * rectenna.r_ant * pt,
         c4=g * g * rectenna.k4 * rectenna.r_ant * rectenna.r_ant * pt * pt,
@@ -211,10 +213,7 @@ def lorenz_beats_henon(lorenz: LorenzParams, henon: HenonParams) -> bool:
     this is equivalent to the unscaled flow harvesting strictly more DC than
     the map under any common link budget.
     """
-    if lorenz.r <= 1.0:
-        raise UnstableRegimeError(f"no nontrivial equilibrium for r={lorenz.r:g} <= 1")
-    amp = math.sqrt(lorenz.beta * (lorenz.r - 1.0))
-    return amp > henon_fixed_point(henon)[0]
+    return math.sqrt(lorenz_steady_moments(lorenz)[0]) > henon_fixed_point(henon)[0]
 
 
 def waveform_papr_db(samples: np.ndarray) -> float:

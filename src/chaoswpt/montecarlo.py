@@ -1,35 +1,29 @@
 """Monte Carlo ensembles validating the closed-form DC predictions.
 
-Realizations differ only in their initial point.  Initial points are drawn
-from per-realization counter-based RNG streams (Philox keyed by the seed,
-jumped by the realization index), so realization i's draw depends only on
-(seed, i): results are reproducible and independent of batch sizes or
-evaluation order.  Realization i's draw is the Philox4x64-10 block of
-counter ``[1, 0, i, 0]``, the first block of the stream ``jumped(i)``;
-:func:`_philox_blocks` computes those blocks for every realization at once
-in numpy.
+Realizations differ only in their initial point, drawn from a counter-based
+RNG stream per realization (Philox keyed by the seed, jumped by the
+realization index; see :func:`initial_points`), so realization i's draw
+depends only on (seed, i): results are reproducible and independent of chunk
+widths or evaluation order.
 
-Realizations are integrated a chunk at a time by the same time-blocked core
-as single orbits (:func:`chaoswpt.dynamics.sample_blocks`), which steps a
-chunk of any width into a preallocated block, one call per block, with the
-same arithmetic in the same order.  The core hands over a small block of consecutive samples at a
-time, and the bookkeeping runs once per block, vectorised over time: the
-divergence mask, the second/fourth moment, peak and power sums (added in
-step order, so the bits do not depend on the block length), and a strided
-subsample of each realization, stored time-major like the blocks.  The sums
-run in the compiled library of :mod:`chaoswpt._rk4` where it builds, in
-:func:`_block_moments` otherwise; both add in the same order, so they agree
-bit for bit.  Settling is detected once per chunk on that subsample, with
-:func:`detect_steady_state`'s rule applied to every realization at once by
-one backward scan, in the library where it builds and in
-:func:`_quiet_counts` otherwise, with the same counts.  Full trajectories are
-never stored.
+Realizations are integrated a chunk at a time by the time-blocked core of
+single orbits (:func:`chaoswpt.dynamics.sample_blocks`), one call per block.
+The bookkeeping runs once per block, vectorised over time: the divergence
+mask, the moment, peak and power sums (added in step order, so the bits do not
+depend on the block length), and a strided, time-major subsample of each
+realization, on which one backward scan per chunk applies
+:func:`detect_steady_state`'s rule to every realization at once.  The sums and
+the scan run in the compiled library of :mod:`chaoswpt._rk4` where it builds,
+in :func:`_block_moments` and :func:`_quiet_counts` otherwise, with the same
+bits.  Full trajectories are never stored, and a chunk is as wide as its
+subsample fits :data:`_DETECTION_BYTES`, so memory stays bounded up to
+166,666 subsample rows of the flow (16,666 time units at the 0.1 spacing) and
+250,000 map iterations; beyond that an 8-wide chunk's grows with the horizon.
 
 Each realization leaves one record: its m2, m4, PAPR and settling time.  NaN
 is the only mark of what went wrong.  A realization that diverged has NaN
 for m2, m4 and PAPR, and one that never certifiably settled has a NaN
-settling time.  :class:`EnsembleConfig` rejects any size whose initial points
-or detection buffer would be larger than numpy's limit of ``sys.maxsize`` bytes.
+settling time.
 """
 
 from __future__ import annotations
@@ -61,6 +55,7 @@ from .dynamics import (
 from .errors import InvalidSweepError
 from .harvest import (
     FadingMoments,
+    HarvestCoefficients,
     HarvestReport,
     LinkBudget,
     MULTISINE_SAMPLES,
@@ -85,19 +80,20 @@ HENON_INIT_BOX = ((-0.5, 0.5), (-0.5, 0.5))
 #: target spacing (in time units) of the subsampled settling-detection buffer
 _DETECTION_SPACING = 0.1
 
-#: realizations integrated per batch; bounds the detection-buffer memory
-_CHUNK = 2048
+#: bytes one chunk's settling-detection buffer may take
+_DETECTION_BYTES = 32 * 10**6
 
 
-def _detection_grid(n_steps: int, dt: float) -> tuple[int, int]:
-    """Stride and row count of the settling-detection subsample of an ``n_steps``-step orbit."""
+def _detection_grid(n_steps: int, dt: float, dim: int) -> tuple[int, int, int]:
+    """Detection stride and rows, and the chunk width: as many 8-orbit vectors as _DETECTION_BYTES holds, at least one."""
     stride = max(1, int(round(_DETECTION_SPACING / dt)))
-    return stride, 1 + n_steps // stride
+    n_det = 1 + n_steps // stride
+    return stride, n_det, 8 * max(1, _DETECTION_BYTES // (n_det * dim * 8 * 8))
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Size, seeding, and windowing of one Monte Carlo ensemble."""
+    """Size, seeding, and windowing of one Monte Carlo ensemble, whose arrays fit numpy's ``sys.maxsize`` bytes."""
 
     n_realizations: int = 1000
     seed: int = 1
@@ -114,12 +110,12 @@ class EnsembleConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         # a flow ensemble's largest arrays, and a map one's (one step per time
         # unit): the initial points and one chunk's detection buffer
-        width = min(self.n_realizations, _CHUNK)
         for system, dt in (("lorenz", self.dt), ("henon", 1.0)):
             dim = STATE_DIM[system]
             check_array_size((self.n_realizations, dim), f"the initial points of a {system} ensemble")
-            _, n_det = _detection_grid(steps_for_horizon(self.horizon, dt), dt)
-            check_array_size((n_det, dim, width), f"the settling-detection buffer of a {system} ensemble")
+            _, n_det, width = _detection_grid(steps_for_horizon(self.horizon, dt), dt, dim)
+            check_array_size((n_det, dim, min(self.n_realizations, width)),
+                             f"the settling-detection buffer of a {system} ensemble")
         if not self.steady_state_tol > 0:
             raise ValueError("steady_state_tol must be positive")
         transient_cutoff_index(0, self.transient_fraction)
@@ -149,6 +145,7 @@ class SystemConfig:
         if self.system not in ("lorenz", "henon", "multisine"):
             raise ValueError(f"unknown system {self.system!r}")
         check_tones(self.n_tones)
+        _dc_coefficients(self)
 
 
 @dataclass(frozen=True)
@@ -351,7 +348,7 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
             return henon_step(samples.transpose(1, 0, 2), config.henon, work, consts)
 
     n_steps = steps_for_horizon(ens.horizon, dt)
-    stride, n_det = _detection_grid(n_steps, dt)
+    stride, n_det, chunk = _detection_grid(n_steps, dt, dim)
     n_samples = n_steps + 1
     cutoff = transient_cutoff_index(n_samples, ens.transient_fraction)
     # Chaotic (unstable) regimes have no settling point; measure PAPR once the
@@ -362,19 +359,16 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
 
     pts = initial_points(ens, box)
     n = ens.n_realizations
-    m2 = np.empty(n)
-    m4 = np.empty(n)
-    papr_db = np.empty(n)
-    conv_time = np.empty(n)
+    m2, m4, papr_db, conv_time = np.empty((4, n))
     kernel = _rk4.kernel()
     # one settling-detection buffer, sized for the widest chunk, serves every
     # chunk: one freed and allocated afresh per chunk can come back from
     # malloc as new pages while the freed ones stay resident, which doubled
     # the peak memory of a 5000-realization map ensemble in some runs
-    det_buf = np.empty(n_det * dim * min(n, _CHUNK))
+    det_buf = np.empty(n_det * dim * min(n, chunk))
 
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
+    for start in range(0, n, chunk):
+        sl = slice(start, min(start + chunk, n))
         width = sl.stop - sl.start
         alive = np.ones(width, dtype=bool)
         # (s2, s4, psum, pmax), laid out as chaoswpt_block_moments takes them
@@ -486,13 +480,18 @@ def _aggregate(config, stable, m2, m4, papr_db, conv_time) -> EnsembleResult:
     )
 
 
+def _dc_coefficients(config: SystemConfig) -> HarvestCoefficients:
+    """``config``'s DC coefficients, its link, rectenna and fading folded in."""
+    return with_fading(coefficients(config.link, config.rectenna), config.fading)
+
+
 def _report(config: SystemConfig, stable: bool, m2: float, m4: float, papr_db) -> HarvestReport:
     """Closed-form and measured DC of a waveform with moments (m2, m4), priced under ``config``.
 
     A multisine's closed form is priced from its exact moments and nothing is
     measured; an unstable source has no closed form.
     """
-    coeff = with_fading(coefficients(config.link, config.rectenna), config.fading)
+    coeff = _dc_coefficients(config)
     if config.system == "multisine":
         return HarvestReport(dc_from_moments(m2, m4, coeff), None, papr_db, stable)
     if not stable:

@@ -1,6 +1,8 @@
+import contextlib
+
 import pytest
 
-from chaoswpt import _rk4
+from chaoswpt import _rk4, montecarlo
 from chaoswpt.dynamics import LorenzParams, ScalingFactors
 from chaoswpt.harvest import LinkBudget, RectennaParams, coefficients
 
@@ -26,7 +28,7 @@ def std_coeff():
 def numpy_rk4(monkeypatch):
     """Force the fallbacks: each system's textbook step, the block written once, and numpy block sums.
 
-    The loader finds no compiled library, so neither of its functions runs.
+    The loader finds no compiled library, so none of its four functions runs.
     """
     monkeypatch.setattr(_rk4, "kernel", lambda: None)
 
@@ -42,3 +44,21 @@ def rk4_path(request):
     elif _rk4.kernel() is None:
         pytest.skip("the compiled RK4 kernel cannot be built here")
     return request.param
+
+
+@contextlib.contextmanager
+def _forced_chunk_width(width):
+    grid = montecarlo._detection_grid
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_detection_grid", lambda *args: grid(*args)[:2] + (width,))
+        yield
+
+
+@pytest.fixture
+def chunk_width():
+    """``with chunk_width(w):`` integrates ensembles in chunks of ``w`` realizations, the last one narrower.
+
+    It wraps the rule that sizes chunks by their detection buffer's bytes;
+    the stride and row count of the detection grid stay the rule's.
+    """
+    return _forced_chunk_width

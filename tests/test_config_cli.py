@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import chaoswpt
-from chaoswpt import cli, montecarlo
+from chaoswpt import cli, config, montecarlo
 from chaoswpt.cli import main, run_experiment
 from chaoswpt.config import (
     ExperimentConfig,
@@ -382,6 +382,18 @@ def test_cli_non_finite_number_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_link_budget_beyond_double_range_is_a_config_error(tmp_path, capsys):
+    # used to run the flow and the map, then exit 1 with an OverflowError from
+    # pricing; a fig4 pt_dbm value is first patched in at run time
+    out = tmp_path / "out"
+    doc = ("experiment: fig4\nfig4: {pt_dbm_values: [4000], n_tones_values: [1], lorenz_r_values: [12], "
+           "henon_params: [[0.2, 0.1]]}\n")
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    problems = [line for line in capsys.readouterr().err.splitlines() if line.startswith("  - ")]
+    assert problems == ["  - fig4.pt_dbm_values: DC coefficients must be finite, non-negative doubles"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("ensemble", [f"{{n_realizations: {10**20}}}", "{horizon: 1.0e+300}"])
 def test_cli_sizes_no_run_can_hold_are_config_errors(tmp_path, capsys, ensemble):
     # used to end in a raw ValueError from np.empty, with exit status 1
@@ -674,6 +686,15 @@ _INVALID = [
     pytest.param("rectenna: {k4: .inf}", "rectenna.k4: must be a finite number", id="inf-k4"),
     pytest.param("ensemble: {init_box: [[-.inf, 1], [0, 1], [0, 1]]}",
                  "ensemble.init_box[0][0]: must be a finite number", id="inf-init-box"),
+    # finite link budgets whose DC coefficients are not finite doubles: the
+    # first three used to exit 1 with an OverflowError, the last to write inf
+    pytest.param("experiment: fig4\nfig4: {pt_dbm_values: [4000], n_tones_values: [1], lorenz_r_values: [12], "
+                 "henon_params: [[0.2, 0.1]]}", "fig4.pt_dbm_values: DC coefficients", id="overflowing-fig4-pt_dbm"),
+    pytest.param("experiment: sweep\nsystem: multisine\nsweep: {parameter: pt_dbm, values: [10, 4000]}",
+                 "sweep.values: DC coefficients", id="overflowing-sweep-pt_dbm"),
+    pytest.param("experiment: fig2\nlink: {d_m: 1.0e-200}", "link: DC coefficients", id="overflowing-d_m"),
+    pytest.param("experiment: sweep\nsystem: multisine\nsweep: {parameter: pt_dbm, values: [2000]}",
+                 "sweep.values: DC coefficients", id="inf-coefficient"),
     # sizes no array can index
     pytest.param(f"ensemble: {{n_realizations: {10**20}}}", "ensemble.n_realizations", id="huge-n"),
     pytest.param("ensemble: {horizon: 1.0e+300}", "ensemble.horizon", id="huge-ensemble-steps"),
@@ -706,6 +727,30 @@ def test_edge_values_accepted_and_round_trip(doc):
     text = manifest_text(cfg)
     assert validate_config(text) == cfg
     assert manifest_text(validate_config(text)) == text
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+#: a non-ASCII path, a negative zero, exponents both ways and the largest seed
+_EDGE_DOCUMENT = """\
+out_dir: résultats/été
+link: {pt_dbm: -0.0, d_m: 1.0e+16}
+ensemble: {steady_state_tol: 1.0e-7, seed: 18446744073709551615}
+"""
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("name", [*sorted(p.name for p in _CONFIGS.glob("*.yaml")), "edge"])
+def test_libyaml_and_the_pure_python_classes_give_the_same_manifest(monkeypatch, name):
+    # the README promises the same manifest bytes whichever classes PyYAML has
+    text = _EDGE_DOCUMENT if name == "edge" else (_CONFIGS / name).read_text(encoding="utf-8")
+    # repr tells -0.0 from 0.0
+    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    manifests = []
+    for loader, dumper in ((yaml.CSafeLoader, yaml.CSafeDumper), (yaml.SafeLoader, yaml.SafeDumper)):
+        monkeypatch.setattr(config, "_LOADER", loader)
+        monkeypatch.setattr(config, "_DUMPER", dumper)
+        manifests.append(manifest_text(validate_config(text)).encode("utf-8"))
+    assert manifests[0] == manifests[1]
 
 
 def test_readme_configuration_block_matches_defaults():

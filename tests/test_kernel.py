@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chaoswpt import _rk4, dynamics, montecarlo
+from chaoswpt import _rk4, dynamics
 from chaoswpt.dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
     HenonParams,
@@ -393,7 +393,7 @@ def test_a_sample_at_the_bound_is_good_and_one_ulp_past_it_bad(rk4_path, bound, 
     assert exc.value.step == 1
 
 
-def test_the_compiled_library_is_called_once_per_block(monkeypatch):
+def test_the_compiled_library_is_called_once_per_block(monkeypatch, chunk_width):
     kernel = _rk4.kernel()
     if kernel is None:
         pytest.skip("the compiled RK4 kernel cannot be built here")
@@ -418,7 +418,7 @@ def test_the_compiled_library_is_called_once_per_block(monkeypatch):
     assert calls == {"henon_rows": math.ceil(3000 / block_rows(2, 1))}
     calls.clear()
     # two chunks, 64 and 36 realizations wide
-    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
-    run_ensemble(SystemConfig(system="henon", henon=HenonParams(0.2, 0.1),
-                              ensemble=EnsembleConfig(n_realizations=100, horizon=1000.0, seed=3)))
+    with chunk_width(64):
+        run_ensemble(SystemConfig(system="henon", henon=HenonParams(0.2, 0.1),
+                                  ensemble=EnsembleConfig(n_realizations=100, horizon=1000.0, seed=3)))
     assert calls == {"henon_rows": math.ceil(1000 / block_rows(2, 64)) + math.ceil(1000 / block_rows(2, 36))}

@@ -290,7 +290,7 @@ def _assert_identical(a, b):
 
 
 @pytest.mark.parametrize("system", ["lorenz", "henon"])
-def test_ensemble_independent_of_chunk_width(monkeypatch, system):
+def test_ensemble_independent_of_chunk_width(chunk_width, system):
     # one-orbit chunks take the steps' float branches where they have one; on
     # the numpy path a block of 2000 orbits is summed row by row, narrower
     # ones accumulated
@@ -303,8 +303,8 @@ def test_ensemble_independent_of_chunk_width(monkeypatch, system):
         cfg = replace(cfg, ensemble=replace(cfg.ensemble, init_box=((-2.0, 2.0), (-1.0, 1.0))))
     results = []
     for chunk in (1, 7, n):
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        results.append(run_ensemble(cfg))
+        with chunk_width(chunk):
+            results.append(run_ensemble(cfg))
     if system == "lorenz":
         assert results[0].fraction_converged > 0
     else:
@@ -313,18 +313,18 @@ def test_ensemble_independent_of_chunk_width(monkeypatch, system):
         _assert_identical(results[0], other)
 
 
-def test_lorenz_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatch, numpy_rk4):
+def test_lorenz_ensemble_on_the_numpy_path_independent_of_chunk_width(chunk_width, numpy_rk4):
     # here a chunk of one orbit takes the textbook step on Python floats and
     # a wider one on arrays, with the same bits
-    test_ensemble_independent_of_chunk_width(monkeypatch, "lorenz")
+    test_ensemble_independent_of_chunk_width(chunk_width, "lorenz")
 
 
-def test_henon_ensemble_on_the_numpy_path_independent_of_chunk_width(monkeypatch, numpy_rk4):
+def test_henon_ensemble_on_the_numpy_path_independent_of_chunk_width(chunk_width, numpy_rk4):
     # the map steps the same way on every path; its block sums do not
-    test_ensemble_independent_of_chunk_width(monkeypatch, "henon")
+    test_ensemble_independent_of_chunk_width(chunk_width, "henon")
 
 
-def _records(cfg, chunk):
+def _records(cfg, chunk, chunk_width):
     """The per-realization (m2, m4, papr_db, conv_time) run_ensemble summarises, at chunk width ``chunk``."""
     seen = []
     aggregate = montecarlo._aggregate
@@ -333,8 +333,7 @@ def _records(cfg, chunk):
         seen.append(records)
         return aggregate(config, stable, *records)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(montecarlo, "_CHUNK", chunk)
+    with pytest.MonkeyPatch.context() as mp, chunk_width(chunk):
         mp.setattr(montecarlo, "_aggregate", capture)
         run_ensemble(cfg)
     return seen[0]
@@ -353,8 +352,8 @@ def _mixed_cfg(system, n):
 
 
 @functools.cache
-def _reference_records(system, path):
-    records = _records(_mixed_cfg(system, _MOST), _MOST)
+def _reference_records(system, path, chunk_width):
+    records = _records(_mixed_cfg(system, _MOST), _MOST, chunk_width)
     m2, conv_time = records[0], records[3]
     assert np.isfinite(conv_time).any() and not np.isfinite(conv_time).all()
     if system == "henon":
@@ -364,29 +363,53 @@ def _reference_records(system, path):
 
 @settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(system=st.sampled_from(["lorenz", "henon"]), n=st.integers(1, _MOST), chunk=st.integers(1, _MOST + 1))
-def test_a_realizations_record_does_not_depend_on_ensemble_size_or_chunk_width(rk4_path, system, n, chunk):
+def test_a_realizations_record_does_not_depend_on_ensemble_size_or_chunk_width(rk4_path, chunk_width, system, n,
+                                                                                chunk):
     # realization i's draw depends on (seed, i) alone, and so must every value
     # it contributes; NaN marks a diverged or unsettled one in both runs
-    reference = _reference_records(system, rk4_path)
-    got = _records(_mixed_cfg(system, n), chunk)
+    reference = _reference_records(system, rk4_path, chunk_width)
+    got = _records(_mixed_cfg(system, n), chunk, chunk_width)
     for name, a, b in zip(("m2", "m4", "papr_db", "conv_time"), got, reference):
         assert np.array_equal(a, b[:n], equal_nan=True), name
 
 
-def test_a_chunk_frees_its_detection_buffer_before_the_next_one_is_allocated(monkeypatch):
+def test_a_chunk_frees_its_detection_buffer_before_the_next_one_is_allocated(chunk_width):
     # the detection buffer dominates a long map ensemble's memory: 10,001 rows
     # of 2 x 64 doubles, 10 MB a chunk
-    monkeypatch.setattr(montecarlo, "_CHUNK", 64)
     peaks = []
-    for n in (64, 128):
-        tracemalloc.start()
-        try:
-            run_ensemble(_henon_cfg(n=n, horizon=10000.0))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    with chunk_width(64):
+        for n in (64, 128):
+            peaks.append(_traced_peak(_henon_cfg(n=n, horizon=10000.0)))
     assert peaks[0] > 10e6
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def _traced_peak(cfg):
+    """The most bytes numpy and Python held at once while ``cfg``'s ensemble ran."""
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_long_ensembles_detection_buffer_stays_within_its_byte_budget():
+    # 1024 map orbits over 10^4 iterations used to hold one 164 MB detection
+    # buffer; chunks of 192 keep it at 31 MB
+    assert _traced_peak(_henon_cfg(n=1024, horizon=10000.0)) < 48e6
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_steps=st.integers(0, 10**9), dt=st.sampled_from([0.001, 0.01, 0.1, 1.0]), dim=st.sampled_from([2, 3]))
+def test_a_chunk_is_the_most_whole_vectors_whose_detection_buffer_fits_the_budget(n_steps, dt, dim):
+    _, n_det, width = montecarlo._detection_grid(n_steps, dt, dim)
+    vector = 8 * 8 * dim * n_det  # bytes of one 8-wide vector of detection rows
+    assert width % 8 == 0 and width >= 8
+    if vector <= montecarlo._DETECTION_BYTES:
+        assert width * dim * n_det * 8 <= montecarlo._DETECTION_BYTES < (width + 8) * dim * n_det * 8
+    else:
+        assert width == 8
 
 
 def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
