@@ -1,6 +1,7 @@
 /* The hot loops of an ensemble: classical RK4 steps of the scaled Lorenz flow
  * and steps of the Henon map for a whole block of samples of n orbits, one
- * block's moment, peak and power sums, and a chunk's backward settling scan.
+ * block's moment, peak and power sums, and a chunk's backward settling scan;
+ * and the text of a trajectory, its rows printed as %.17g.
  *
  * Every product and sum below is one IEEE double operation in the order of
  * the numpy code it replaces (the textbook steps of chaoswpt.dynamics.rk4_step
@@ -8,15 +9,20 @@
  * built without contraction (-ffp-contract=off) and without -ffast-math the
  * results equal numpy's bit for bit.  Each loop runs across orbits, which are
  * independent, so the compiler vectorises it without reordering any orbit's
- * arithmetic: every vector width gives the same bits as the scalar loop.
+ * arithmetic: every vector width gives the same bits as the scalar loop.  The
+ * text is the bytes of Python's '%.17g' % v, the fallback of
+ * chaoswpt.io_utils.trajectory_csv.
  *
- * On x86-64 with glibc each exported function is cloned for AVX-512, AVX2 and
+ * On x86-64 with glibc each exported loop is cloned for AVX-512, AVX2 and
  * the baseline ISA, and the loader picks the clone the CPU runs (an ifunc).
  * Other targets, and compilers without target_clones, build the plain loop.
  */
 
 #include <limits.h> /* any C library header defines __GLIBC__ on glibc */
 #include <stddef.h>
+#include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* -DSIMD_CLONES= builds the plain loop alone, for the one ISA of the -m flags */
 #ifndef SIMD_CLONES
@@ -213,4 +219,143 @@ void chaoswpt_quiet_rows(const double *restrict det, size_t rows, size_t dim, si
         if (!any)
             break;
     }
+}
+
+#ifdef __SIZEOF_INT128__
+/* The 17 significant digits of a finite v with 1e-5 <= |v| < 1e16, and the
+ * decimal exponent x of the first: |v| rounds, half to even, to
+ * digits * 10^(x - 16).  Exact, as in Steele and White's and Adams's printers
+ * at a fixed digit count: |v| = m 2^e, and m 10^(16 - x) < 2^123 is held
+ * whole, so the shift right by -e <= 69 leaves the exact remainder to round
+ * on. */
+static uint64_t digits17(double v, int *x)
+{
+    static const uint64_t pow10[] = {
+        1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull, 100000000ull,
+        1000000000ull, 10000000000ull, 100000000000ull, 1000000000000ull, 10000000000000ull,
+        100000000000000ull, 1000000000000000ull, 10000000000000000ull, 100000000000000000ull,
+        1000000000000000000ull, 10000000000000000000ull};
+    uint64_t bits;
+    memcpy(&bits, &v, sizeof bits);
+    /* v is normal in this range */
+    const uint64_t m = (bits & 0xfffffffffffffull) | 1ull << 52;
+    const int e = (int)(bits >> 52 & 0x7ff) - 1075;
+    /* |v| lies in [2^(e + 52), 2^(e + 53)); this is log10 of the lower end,
+     * truncated toward zero, so within one of floor(log10 |v|) */
+    int k = (e + 52) * 1233 / 4096;
+    unsigned __int128 n;
+    uint64_t d;
+    for (;;) {
+        /* q = 16 - k lies in [1, 21]: |v| < 1e16, and 1e-5 <= |v| */
+        const int q = 16 - k;
+        n = (unsigned __int128)m * pow10[q < 19 ? q : 19];
+        if (q > 19)
+            n *= pow10[q - 19];
+        d = (uint64_t)(e < 0 ? n >> -e : n << e);
+        if (d < pow10[16])
+            k--;
+        else if (d >= pow10[17])
+            k++;
+        else
+            break;
+    }
+    if (e < 0) {
+        const unsigned __int128 rem = n & (((unsigned __int128)1 << -e) - 1),
+                                half = (unsigned __int128)1 << (-e - 1);
+        d += rem > half || (rem == half && (d & 1));
+        /* a carry to 10^17 may be out of reach at 17 digits; it costs one compare */
+        if (d == pow10[17]) {
+            d = pow10[16];
+            k++;
+        }
+    }
+    *x = k;
+    return d;
+}
+#endif
+
+/* Writes v as '%.17g' % v prints it, at most 24 bytes (the length of
+ * -2.2250738585072014e-308) and no NUL, and returns the end.  It may write
+ * scratch bytes up to p + 24 past a shorter text. */
+static char *put_g17(char *p, double v)
+{
+#ifdef __SIZEOF_INT128__
+    const double a = v < 0 ? -v : v;
+    if (a >= 1e-5 && a < 1e16) {
+        int x;
+        uint64_t d = digits17(v, &x);
+        static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+                                    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+                                    "8081828384858687888990919293949596979899";
+        /* two digits at a time, from each 32-bit half of d */
+        char dig[33]; /* the 17 digits, then scratch that a fixed-size copy may read */
+        uint32_t head = (uint32_t)(d / 100000000), tail = (uint32_t)(d % 100000000);
+        for (int i = 15; i > 8; i -= 2, tail /= 100)
+            memcpy(dig + i, pairs + 2 * (tail % 100), 2);
+        for (int i = 7; i > 0; i -= 2, head /= 100)
+            memcpy(dig + i, pairs + 2 * (head % 100), 2);
+        dig[0] = (char)('0' + head);
+        int nd = 17; /* the digits left once trailing zeros go */
+        while (dig[nd - 1] == '0')
+            nd--;
+        /* the text, at most 23 bytes, is built in t by copies of fixed
+         * size, which may write past its end */
+        char t[48], *s = t;
+        *s = '-';
+        s += v < 0;
+        if (x < -4) {
+            /* d.ddde-05: the one exponent below -4 in this range */
+            s[0] = dig[0];
+            s[1] = '.';
+            memcpy(s + 2, dig + 1, 16);
+            s += nd > 1 ? nd + 1 : 1;
+            memcpy(s, "e-05", 4);
+            s += 4;
+        } else if (x < 0) {
+            memcpy(s, "0.000", 5);
+            memcpy(s + 1 - x, dig, 17);
+            s += 1 - x + nd;
+        } else {
+            /* the integer part, with any zeros it ends in, then the fraction */
+            memcpy(s, dig, 17);
+            s[x + 1] = '.';
+            memcpy(s + x + 2, dig + x + 1, 16);
+            s += nd > x + 1 ? nd + 1 : x + 1;
+        }
+        memcpy(p, t, 24);
+        return p + (s - t);
+    }
+#endif
+    /* glibc prints a NaN whose sign bit is set as -nan, Python as nan */
+    if (v != v) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    char text[32];
+    const int len = snprintf(text, sizeof text, "%.17g", v);
+    memcpy(p, text, len);
+    return p + len;
+}
+
+/* The text of `rows` rows of a trajectory into `out`, each the row's first
+ * column, then its `dim` samples from the C-contiguous (rows, dim) `samples`,
+ * separated by commas and ended by a newline.  The first column of row k is
+ * (double)k * dt, the product np.arange(rows) * dt holds; a map passes
+ * dt = 1, and '%.17g' prints each index below 10^17 as '%d' does.  Every
+ * value is printed as '%.17g' % v, and writes no more than 24 bytes from
+ * where its text starts, so `out` needs (dim + 1) * 25 bytes a row.  Returns
+ * the bytes of text written.  Not cloned: the loop does not vectorise. */
+size_t chaoswpt_format_rows(const double *restrict samples, size_t rows, size_t dim, double dt,
+                            char *restrict out)
+{
+    char *p = out;
+    for (size_t k = 0; k < rows; k++) {
+        p = put_g17(p, (double)k * dt);
+        for (size_t c = 0; c < dim; c++) {
+            *p++ = ',';
+            p = put_g17(p, samples[k * dim + c]);
+        }
+        *p++ = '\n';
+    }
+    return (size_t)(p - out);
 }

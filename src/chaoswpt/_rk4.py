@@ -1,4 +1,4 @@
-"""The compiled ensemble loops (``_rk4.c``), built and loaded on first use.
+"""The compiled ensemble loops and trajectory text (``_rk4.c``), built and loaded on first use.
 
 ``_rk4.c`` holds the Lorenz RK4 steps and the Henon map steps of a whole
 block of samples, each of which also flags whether any sample it wrote is
@@ -7,7 +7,9 @@ and power sums and a chunk's backward settling scan.  Each does its
 arithmetic in the operation order of the numpy code it replaces, so every
 path agrees bit for bit.  Its loops run across orbits at SIMD width; on
 x86-64 with glibc the loader picks the AVX-512, AVX2 or baseline clone the
-CPU runs.
+CPU runs.  It also prints a trajectory's rows in the bytes of ``'%.17g' % v``:
+an exact 17-digit conversion in 128-bit integers, and ``snprintf`` for the
+values outside it or where the compiler has no 128-bit integer.
 
 The package ships the C source, not a binary.  :func:`kernel` compiles it with
 the system's ``cc`` into ``$XDG_CACHE_HOME/chaoswpt`` (``~/.cache/chaoswpt``
@@ -21,7 +23,8 @@ over 30 days ago.  Without a compiler, or when the build or load fails,
 and :func:`chaoswpt.dynamics.henon_step` fill the block one textbook step at a
 time, single orbits (trajectories, fig3 points) included, and
 :func:`chaoswpt.montecarlo.run_ensemble` adds the sums with ``_block_moments``
-and scans with ``_quiet_counts``, with the same results.
+and scans with ``_quiet_counts``, and :func:`chaoswpt.io_utils.trajectory_csv`
+prints with ``%``, with the same results.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ _STALE_DAYS = 30
 
 
 class Kernel(NamedTuple):
-    """The library's functions, as ctypes functions."""
+    """The library's functions, as ctypes functions: four ensemble loops and the trajectory text."""
 
     #: ``chaoswpt_lorenz_rk4_rows(src, out, rows, n, rates, bound)``, returns the bad-sample flag
     lorenz_rows: Callable[..., int]
@@ -60,6 +63,8 @@ class Kernel(NamedTuple):
     henon_rows: Callable[..., int]
     #: ``chaoswpt_quiet_rows(det, rows, dim, n, tol, work, count)``
     quiet: Callable[..., None]
+    #: ``chaoswpt_format_rows(samples, rows, dim, dt, out)``, returns the bytes of text written
+    format_rows: Callable[..., int]
 
 
 @functools.cache
@@ -76,8 +81,8 @@ def kernel() -> Kernel | None:
     except (OSError, AttributeError) as exc:
         warnings.warn(
             f"compiled kernel unavailable ({exc}); Lorenz and Henon orbits take the textbook step, and "
-            "ensembles add their block sums and scan for settling through numpy, with the same results "
-            "but slower",
+            "ensembles add their block sums and scan for settling through numpy, and trajectory text is "
+            "printed by %, with the same results but slower",
             CompiledKernelWarning,
             stacklevel=2,
         )
@@ -160,11 +165,13 @@ def _load(path: str) -> Kernel:
     lib = ctypes.CDLL(path)
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
     found = Kernel(lib.chaoswpt_lorenz_rk4_rows, lib.chaoswpt_block_moments, lib.chaoswpt_henon_rows,
-                   lib.chaoswpt_quiet_rows)
+                   lib.chaoswpt_quiet_rows, lib.chaoswpt_format_rows)
     for rows in (found.lorenz_rows, found.henon_rows):
         rows.argtypes = [pointer, pointer, size, size, pointer, ctypes.c_double]
         rows.restype = ctypes.c_int
     found.moments.argtypes = [pointer, size, size, size, size, size, pointer]
     found.quiet.argtypes = [pointer, size, size, size, ctypes.c_double, pointer, pointer]
     found.moments.restype = found.quiet.restype = None
+    found.format_rows.argtypes = [pointer, size, size, ctypes.c_double, pointer]
+    found.format_rows.restype = size
     return found

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -169,6 +170,10 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a non-empty path")
         if "\0" in self.out_dir:
             raise ValueError("out_dir must not contain a NUL character")
+        try:
+            os.fsencode(self.out_dir)
+        except UnicodeEncodeError:
+            raise ValueError("out_dir must be encodable as a file name") from None
 
 
 #: stands in for a value that failed its check while parsing goes on

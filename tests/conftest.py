@@ -26,9 +26,10 @@ def std_coeff():
 
 @pytest.fixture
 def numpy_rk4(monkeypatch):
-    """Force the fallbacks: each system's textbook step, the block written once, and numpy block sums.
+    """Force the fallbacks: each system's textbook step, the block written once, numpy block sums
+    and trajectory text printed by ``%``.
 
-    The loader finds no compiled library, so none of its four functions runs.
+    The loader finds no compiled library, so none of its five functions runs.
     """
     monkeypatch.setattr(_rk4, "kernel", lambda: None)
 

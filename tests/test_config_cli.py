@@ -272,6 +272,29 @@ def test_cli_reads_a_utf8_config_under_an_ascii_locale(tmp_path):
     assert written["ascii"] == written["utf8"]
 
 
+def test_cli_an_out_dir_no_file_name_holds_is_a_config_error(tmp_path, capsys):
+    # a lone surrogate has no encoding, not even through surrogateescape
+    cfg = _write(tmp_path, "experiment: trajectory\ntrajectory: {horizon: 1}\n")
+    assert main(["run", str(cfg), "--out", f"{tmp_path}/\ud800x"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n  - ") == 1 and "\n  - --out: out_dir must be encodable as a file name" in err
+    assert os.listdir(tmp_path) == ["cfg.yaml"]
+
+
+def test_cli_an_out_dir_the_ascii_locale_cannot_encode_is_a_config_error(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("experiment: trajectory\ntrajectory: {horizon: 1}\nout_dir: résults\n", encoding="utf-8")
+    cwd = tmp_path / "run"
+    cwd.mkdir()
+    env = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(chaoswpt.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-m", "chaoswpt", "run", str(cfg)],
+                         cwd=cwd, env={**os.environ, **env}, capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.count("\n  - ") == 1 and "\n  - out_dir: out_dir must be encodable" in run.stderr
+    assert os.listdir(cwd) == []
+
+
 def test_cli_missing_config_exit_code(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.yaml")]) == 2
     assert "cannot read" in capsys.readouterr().err
