@@ -279,16 +279,16 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     row i from row i - 1, and returns whether any sample written is beyond
     the bound or not finite.
 
-    Yields ``(k0, samples, bad)``.  ``samples`` has shape (m, dim, width) and
-    holds the samples k0 .. k0 + m - 1; the first block is the initial state
-    alone.  Every block is a C-contiguous array of doubles, whatever the
-    strides of ``state``.  ``bad`` is None, or an (m, width) mask of the
-    samples with a component beyond ``bound`` or not finite, whatever the
-    bound, an infinite one included.  An orbit is dead from its first bad
-    sample on: its columns read 0 from the block where that happened, and it
-    restarts from the origin at every block boundary.  The buffer behind
-    ``samples`` is reused, so a caller must be done with one block before it
-    asks for the next.
+    Yields ``(k0, samples, first)``.  ``samples`` has shape (m, dim, width)
+    and holds the samples k0 .. k0 + m - 1; the first block is the initial
+    state alone.  Every block is a C-contiguous array of doubles, whatever the
+    strides of ``state``.  ``first``, one (width,) integer array throughout,
+    holds each orbit's first step with a component beyond ``bound`` or not
+    finite, whatever the bound, an infinite one included, or -1 while it has
+    none.  From that sample on the orbit is dead: its columns read 0 from the
+    block where that happened, and it restarts from the origin at every
+    block boundary.  The buffer behind ``samples`` is reused, so a caller
+    must be done with one block before it asks for the next.
     """
     dim, width = state.shape
     rows = block_rows(dim, width)
@@ -296,26 +296,27 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     # ended; the start is copied there, so the first block reads it too
     block = np.empty((min(rows, max(n_steps, 2)), dim, width))
     block[-1] = state
-    yield 0, block[-1:], None
+    first = np.full(width, -1)
+    yield 0, block[-1:], first
     # beyond the largest double only inf lies, so an infinite bound still
     # holds inf back
     bound = min(bound, sys.float_info.max)
     work = (block, block[-1].ctypes.data, block.ctypes.data, bound)
-    dead = np.zeros(width, dtype=bool)
+    dead = None  # the columns to zero, built only in a block the kernel flags
     k0 = 1
     while k0 <= n_steps:
         m = min(rows, n_steps + 1 - k0)
         samples = block[:m]
-        bad = None
         # an orbit that leaves the bound mid-block overflows until the block
         # ends; it is zeroed below
         if step(samples, work):
             # NaN fails the comparison
             bad = ~(np.abs(samples) <= bound).all(axis=1)
-            dead |= bad.any(axis=0)
-        if dead.any():
+            np.copyto(first, k0 + bad.argmax(axis=0), where=bad.any(axis=0) & (first < 0))
+            dead = first >= 0
+        if dead is not None:
             samples[:, :, dead] = 0.0
-        yield k0, samples, bad
+        yield k0, samples, first
         k0 += m
 
 
@@ -359,11 +360,13 @@ def _collect(step, initial, dim, n_steps, bound, diverged) -> np.ndarray:
 
     Raises ``diverged(k)`` for the first step k whose state leaves ``bound``.
     """
+    if len(initial) != dim:
+        raise ValueError(f"initial must have {dim} components, got {len(initial)}")
     state = np.array([float(v) for v in initial]).reshape(dim, 1)
     out = np.empty((n_steps + 1, dim))
-    for k0, samples, bad in sample_blocks(step, state, n_steps, bound):
-        if bad is not None:
-            raise diverged(k0 + int(np.argmax(bad[:, 0])))
+    for k0, samples, first in sample_blocks(step, state, n_steps, bound):
+        if first[0] >= 0:
+            raise diverged(int(first[0]))
         out[k0:k0 + samples.shape[0]] = samples[:, :, 0]
     return out
 

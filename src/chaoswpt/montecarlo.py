@@ -7,9 +7,9 @@ depends only on (seed, i): results are reproducible and independent of chunk
 widths or evaluation order.
 
 Realizations are integrated a chunk at a time by the time-blocked core of
-single orbits (:func:`chaoswpt.dynamics.sample_blocks`), one call per block.
-The bookkeeping runs once per block, vectorised over time: the divergence
-mask, the moment, peak and power sums (added in step order, so the bits do not
+single orbits (:func:`chaoswpt.dynamics.sample_blocks`), one call per block;
+the core records each orbit's first bad step.  The bookkeeping runs once per
+block, vectorised over time: the moment, peak and power sums (added in step order, so the bits do not
 depend on the block length), and a strided, time-major subsample of each
 realization, on which one backward scan per chunk applies
 :func:`detect_steady_state`'s rule to every realization at once.  The sums and
@@ -370,15 +370,12 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         width = sl.stop - sl.start
-        alive = np.ones(width, dtype=bool)
         # (s2, s4, psum, pmax), laid out as chaoswpt_block_moments takes them
         acc = np.zeros((4, width))
         acc_addr = acc.ctypes.data
         det = det_buf[:n_det * dim * width].reshape(n_det, dim, width)
 
-        for k0, samples, bad in sample_blocks(step, pts[sl].T, n_steps):
-            if bad is not None:
-                alive &= ~bad.any(axis=0)
+        for k0, samples, first in sample_blocks(step, pts[sl].T, n_steps):
             # first rows of the block inside the moment and PAPR windows
             c = max(cutoff - k0, 0)
             p = max(papr_start - k0, 0)
@@ -395,14 +392,14 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
 
         # a diverged realization's record is NaN; psum >= pmax, so a zero
         # psum gives 0/0, NaN too
-        acc[:, ~alive] = np.nan
+        acc[:, first >= 0] = np.nan
         s2, s4, psum, pmax = acc
         m2[sl] = s2 / m_count
         m4[sl] = s4 / m_count
         with np.errstate(divide="ignore", invalid="ignore"):
             papr_db[sl] = 10.0 * np.log10(pmax / (psum / p_count))
         idx = _first_quiet_index(det, ens.steady_state_tol)
-        conv_time[sl] = np.where(alive & (idx >= 0), idx * stride * dt, np.nan)
+        conv_time[sl] = np.where((first < 0) & (idx >= 0), idx * stride * dt, np.nan)
 
     return _aggregate(config, verdict.stable, m2, m4, papr_db, conv_time)
 

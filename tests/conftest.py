@@ -1,4 +1,5 @@
 import contextlib
+import functools
 
 import pytest
 
@@ -32,6 +33,21 @@ def numpy_rk4(monkeypatch):
     The loader finds no compiled library, so none of its five functions runs.
     """
     monkeypatch.setattr(_rk4, "kernel", lambda: None)
+
+
+def on_the_numpy_path(test):
+    """``test`` once more, with ``numpy_rk4`` forcing the fallbacks.
+
+    Bound under a name of its own, ``test_x_on_the_numpy_path =
+    on_the_numpy_path(test_x)``, the twin keeps ``test``'s body and
+    parametrizations, and each test keeps its id.
+    """
+
+    @functools.wraps(test)
+    def twin(*args, **kwargs):
+        return test(*args, **kwargs)
+
+    return pytest.mark.usefixtures("numpy_rk4")(twin)
 
 
 @pytest.fixture(params=["compiled", "numpy"])

@@ -226,6 +226,12 @@ def test_cli_trajectory_roundtrip(tmp_path):
     assert (out2 / "trajectory.csv").read_bytes() == (out / "trajectory.csv").read_bytes()
 
 
+def test_cli_trajectory_shorter_than_a_step_writes_its_start(tmp_path):
+    cfg = _write(tmp_path, "experiment: trajectory\ntrajectory: {p_in: [1, -5, 20], horizon: 0.0001}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "trajectory.csv").read_text() == "t,x,y,z\n0,1,-5,20\n"
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = _write(tmp_path, "lorenz: {beta: -1}\nscaling: {eps_x: 0.2}\n")
     assert main(["run", str(cfg)]) == 2

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import on_the_numpy_path
 
 from chaoswpt import _rk4, dynamics
 from chaoswpt.dynamics import (
@@ -82,8 +83,8 @@ def assert_core_matches(step, oracle, state):
     assert n_steps % rows  # the last block is partial
     expected = tuple(state[j].copy() if width > 1 else float(state[j, 0]) for j in range(dim))
     seen = 0
-    for k0, samples, bad in sample_blocks(step, state, n_steps):
-        assert k0 == seen and bad is None
+    for k0, samples, first in sample_blocks(step, state, n_steps):
+        assert k0 == seen and (first == -1).all()
         if k0:
             assert samples.shape[0] == min(rows, n_steps + 1 - k0)
         for i in range(samples.shape[0]):
@@ -100,7 +101,10 @@ def assert_core_matches(step, oracle, state):
 EPS = [(1.0, 1.0, 1.0), (6.0, 6.0, 6.0), (2.0, 3.0, 5.0)]
 
 
-def assert_lorenz_core_matches(width, eps):
+# at width 5462 a block holds two rows, so the steps alternate between them
+@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
+@pytest.mark.parametrize("eps", EPS)
+def test_lorenz_core_equals_textbook_rk4(width, eps):
     scaling = ScalingFactors(*eps)
     assert_core_matches(
         lorenz_step(CHAOTIC, scaling),
@@ -109,34 +113,25 @@ def assert_lorenz_core_matches(width, eps):
     )
 
 
-# at width 5462 a block holds two rows, so the steps alternate between them
-@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
-@pytest.mark.parametrize("eps", EPS)
-def test_lorenz_core_equals_textbook_rk4(width, eps):
-    assert_lorenz_core_matches(width, eps)
-
-
-@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
-@pytest.mark.parametrize("eps", EPS)
-def test_lorenz_core_on_the_numpy_path_equals_textbook_rk4(numpy_rk4, width, eps):
-    assert_lorenz_core_matches(width, eps)
-
-
-def assert_henon_core_matches(width):
-    assert_core_matches(
-        henon(HENON), lambda s: oracle_henon(s, HENON), start(2, width, None, seed=width)
-    )
+test_lorenz_core_on_the_numpy_path_equals_textbook_rk4 = on_the_numpy_path(test_lorenz_core_equals_textbook_rk4)
 
 
 # at width 5462 a block holds two rows
 @pytest.mark.parametrize("width", [1, 3, 1000, 5462])
 def test_henon_core_equals_textbook_map(width):
-    assert_henon_core_matches(width)
+    assert_core_matches(henon(HENON), lambda s: oracle_henon(s, HENON), start(2, width, None, seed=width))
 
 
-@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
-def test_henon_core_on_the_numpy_path_equals_textbook_map(numpy_rk4, width):
-    assert_henon_core_matches(width)
+test_henon_core_on_the_numpy_path_equals_textbook_map = on_the_numpy_path(test_henon_core_equals_textbook_map)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_steps_yield_the_start_alone(rk4_path, dim, width):
+    state = start(dim, width, ScalingFactors(), seed=width)
+    step = henon(HENON) if dim == 2 else lorenz_step(CHAOTIC, ScalingFactors())
+    [(k0, samples, first)] = list(sample_blocks(step, state, 0))
+    assert k0 == 0 and np.array_equal(samples, state[None]) and list(first) == [-1] * width
 
 
 @pytest.mark.parametrize("dim,width", [(3, 5462), (2, 8193)])
@@ -149,8 +144,8 @@ def test_core_equals_textbook_steps_where_a_block_budget_holds_one_row(dim, widt
         scaling, step, oracle = None, henon(HENON), lambda s: oracle_henon(s, HENON)
     state = start(dim, width, scaling, seed=width)
     expected = tuple(state.copy())
-    for k0, samples, bad in sample_blocks(step, state, 9):
-        assert bad is None
+    for k0, samples, first in sample_blocks(step, state, 9):
+        assert (first == -1).all()
         for i, got in enumerate(samples):
             if k0 + i:
                 expected = oracle(expected)
@@ -169,6 +164,17 @@ def test_public_integrators_equal_textbook_steps():
     for row in traj.samples:
         assert tuple(row) == s
         s = oracle_henon(s, HENON)
+    # no step, or a horizon shorter than one: the orbit is its start
+    assert iterate_henon((0.1, 0.2), HenonParams(), n_steps=0).samples.tolist() == [[0.1, 0.2]]
+    assert integrate_lorenz((1.0, 2.0, 3.0), LorenzParams(), horizon=0.0005).samples.tolist() == [[1.0, 2.0, 3.0]]
+
+
+@pytest.mark.parametrize("initial", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+def test_a_wrong_length_start_is_named_by_its_count(initial):
+    with pytest.raises(ValueError, match=f"^initial must have 3 components, got {len(initial)}$"):
+        integrate_lorenz(initial, LorenzParams())
+    with pytest.raises(ValueError, match=f"^initial must have 2 components, got {len(initial) - 1}$"):
+        iterate_henon(initial[1:], HenonParams())
 
 
 def _orbit(oracle, s, n):
@@ -199,7 +205,7 @@ def _record_start(orbit, k):
     return orbit[j - k], bound
 
 
-def assert_divergence_past_the_first_block_keeps_step_and_message():
+def test_divergence_past_the_first_block_keeps_step_and_message():
     k = block_rows(3, 1) + 3
     orbit = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, ScalingFactors()), (1.0, 1.0, 20.0), 20 * k)
     s0, b = _record_start(orbit, k)
@@ -217,12 +223,8 @@ def assert_divergence_past_the_first_block_keeps_step_and_message():
     assert str(exc.value) == f"state magnitude exceeded {b:g} at step {k}"
 
 
-def test_divergence_past_the_first_block_keeps_step_and_message():
-    assert_divergence_past_the_first_block_keeps_step_and_message()
-
-
-def test_divergence_past_the_first_block_on_the_numpy_path_keeps_step_and_message(numpy_rk4):
-    assert_divergence_past_the_first_block_keeps_step_and_message()
+test_divergence_past_the_first_block_on_the_numpy_path_keeps_step_and_message = on_the_numpy_path(
+    test_divergence_past_the_first_block_keeps_step_and_message)
 
 
 @pytest.mark.parametrize("width", [1, 3, 1000])
@@ -240,19 +242,14 @@ def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
     state = np.array([np.repeat(orbit[j - k], 2) for k in ks]).T[::2]
     assert not state.flags.c_contiguous
 
-    first_bad = [None] * width
     got = []
-    for k0, samples, bad in sample_blocks(lorenz_step(CHAOTIC, scaling), state, n_steps, bound):
+    for k0, samples, first in sample_blocks(lorenz_step(CHAOTIC, scaling), state, n_steps, bound):
         # the compiled block sums read every block, the start's included, as
         # C-contiguous doubles
         assert samples.flags.c_contiguous, k0
         got.append(samples.copy())
-        if bad is not None:
-            for c in np.flatnonzero(bad.any(axis=0)):
-                if first_bad[c] is None:
-                    first_bad[c] = k0 + int(np.argmax(bad[:, c]))
     got = np.concatenate(got)
-    assert first_bad == [k if k <= n_steps else None for k in ks]
+    assert list(first) == [k if k <= n_steps else -1 for k in ks]
     for c, k in enumerate(ks):
         expected = np.array(orbit[j - k:j - k + n_steps + 1])
         if k <= n_steps:
@@ -261,7 +258,7 @@ def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
         assert np.array_equal(got[:, :, c], expected), (c, k)
 
 
-def assert_divergence_is_reported_from_first_bad_sample():
+def test_divergence_is_reported_from_first_bad_sample():
     # escaping orbits leave at different steps; the core marks each orbit from
     # its own first bad sample and zeroes it, without numpy warnings
     rng = np.random.default_rng(11)
@@ -269,7 +266,7 @@ def assert_divergence_is_reported_from_first_bad_sample():
     n_steps = 211
     first_bad = []
     for x, y in state.T:
-        s, hit = (float(x), float(y)), None
+        s, hit = (float(x), float(y)), -1
         for k in range(1, n_steps + 1):
             s = oracle_henon(s, HENON)
             if not max(abs(c) for c in s) <= DEFAULT_DIVERGENCE_BOUND:
@@ -277,29 +274,19 @@ def assert_divergence_is_reported_from_first_bad_sample():
                 break
         first_bad.append(hit)
     rows = block_rows(2, 500)
-    steps = {k for k in first_bad if k is not None}
+    steps = {k for k in first_bad if k >= 0}
     assert len(steps) > 1 and any((k - 1) % rows not in (0, rows - 1) for k in steps)
 
-    seen = [None] * 500
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for k0, samples, bad in sample_blocks(henon(HENON), state, n_steps):
+        for k0, samples, first in sample_blocks(henon(HENON), state, n_steps):
             assert np.isfinite(samples).all()
-            if bad is None:
-                continue
-            for i in np.flatnonzero(bad.any(axis=0)):
-                if seen[i] is None:
-                    seen[i] = k0 + int(np.argmax(bad[:, i]))
-            assert not samples[:, :, [i for i, k in enumerate(seen) if k is not None]].any()
-    assert seen == first_bad
+            assert not samples[:, :, first >= 0].any()
+    assert list(first) == first_bad
 
 
-def test_divergence_is_reported_from_first_bad_sample():
-    assert_divergence_is_reported_from_first_bad_sample()
-
-
-def test_divergence_on_the_numpy_path_is_reported_from_first_bad_sample(numpy_rk4):
-    assert_divergence_is_reported_from_first_bad_sample()
+test_divergence_on_the_numpy_path_is_reported_from_first_bad_sample = on_the_numpy_path(
+    test_divergence_is_reported_from_first_bad_sample)
 
 
 @pytest.mark.filterwarnings("error")
@@ -312,24 +299,19 @@ def test_map_orbits_die_at_a_first_sample_beyond_the_bound_or_not_finite(rk4_pat
     starts = [(1e200, 0.0), (1e150, 0.0), (1e140, 0.5), (0.1, -0.1)][:width]
     n_steps = block_rows(2, width) + 3
     orbits = [_orbit(lambda s: oracle_henon(s, HENON), s0, n_steps) for s0 in starts]
-    first_bad = [next((k for k, s in enumerate(o) if not max(abs(c) for c in s) <= bound), None)
+    first_bad = [next((k for k, s in enumerate(o) if not max(abs(c) for c in s) <= bound), -1)
                  for o in orbits]
-    assert first_bad == [1, 1, 2, None][:width]
+    assert first_bad == [1, 1, 2, -1][:width]
     assert orbits[0][1][0] == -math.inf
 
-    seen = [None] * width
     got = []
-    for k0, samples, bad in sample_blocks(henon(HENON), np.array(starts).T.copy(), n_steps, bound):
+    for k0, samples, first in sample_blocks(henon(HENON), np.array(starts).T.copy(), n_steps, bound):
         got.append(samples.copy())
-        if bad is not None:
-            for c in np.flatnonzero(bad.any(axis=0)):
-                if seen[c] is None:
-                    seen[c] = k0 + int(np.argmax(bad[:, c]))
-    assert seen == first_bad
+    assert list(first) == first_bad
     got = np.concatenate(got)
     for c, (orbit, k) in enumerate(zip(orbits, first_bad)):
         expected = np.array(orbit)
-        if k is not None:
+        if k >= 0:
             # the first block after the start holds step k, so from there on the orbit reads 0
             expected[1:] = 0.0
         assert np.array_equal(got[:, :, c], expected), c
@@ -355,16 +337,11 @@ def test_a_non_finite_sample_is_bad_under_an_infinite_bound(rk4_path):
     starts = [(1.0, 1.0, 20.0), (1e200, 1e200, 1e200), (-5.0, 3.0, 25.0)]
     n_steps = block_rows(3, 3) + 3
     scaling = ScalingFactors()
-    first_bad = [None] * 3
     got = []
-    for k0, samples, bad in sample_blocks(lorenz_step(CHAOTIC, scaling), np.array(starts).T.copy(), n_steps,
-                                          math.inf):
+    for k0, samples, first in sample_blocks(lorenz_step(CHAOTIC, scaling), np.array(starts).T.copy(), n_steps,
+                                            math.inf):
         got.append(samples.copy())
-        if bad is not None:
-            for c in np.flatnonzero(bad.any(axis=0)):
-                if first_bad[c] is None:
-                    first_bad[c] = k0 + int(np.argmax(bad[:, c]))
-    assert first_bad == [None, 1, None]
+    assert list(first) == [-1, 1, -1]
     got = np.concatenate(got)
     for c in (0, 2):
         expected = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, scaling), starts[c], n_steps)

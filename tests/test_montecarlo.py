@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import on_the_numpy_path
 
 from chaoswpt import harvest, montecarlo
 
@@ -124,7 +125,8 @@ def _detection_cases():
     ]
 
 
-def assert_chunk_detection_matches_detect_steady_state(det, tol):
+@pytest.mark.parametrize("det, tol", _detection_cases())
+def test_chunk_detection_matches_detect_steady_state(det, tol):
     # the chunk scan gives each orbit what detect_steady_state gives it alone
     got = montecarlo._first_quiet_index(det, tol)
     assert got.shape == (det.shape[2],)
@@ -133,17 +135,11 @@ def assert_chunk_detection_matches_detect_steady_state(det, tol):
         assert got[j] == (-1 if alone is None else alone), j
 
 
-@pytest.mark.parametrize("det, tol", _detection_cases())
-def test_chunk_detection_matches_detect_steady_state(det, tol):
-    assert_chunk_detection_matches_detect_steady_state(det, tol)
+test_chunk_detection_on_the_numpy_path_matches_detect_steady_state = on_the_numpy_path(
+    test_chunk_detection_matches_detect_steady_state)
 
 
-@pytest.mark.parametrize("det, tol", _detection_cases())
-def test_chunk_detection_on_the_numpy_path_matches_detect_steady_state(numpy_rk4, det, tol):
-    assert_chunk_detection_matches_detect_steady_state(det, tol)
-
-
-def assert_chunk_detection_hand_values():
+def test_chunk_detection_hand_values():
     (det, tol), (det_edge, tol_edge) = _detection_cases()[:2]
     # constant, settling, swinging, 5-row and 4-row quiet suffixes, dead, edge
     idx = montecarlo._first_quiet_index(det, tol)
@@ -154,12 +150,7 @@ def assert_chunk_detection_hand_values():
     assert list(montecarlo._first_quiet_index(*_detection_cases()[-1])) == [36, -1]
 
 
-def test_chunk_detection_hand_values():
-    assert_chunk_detection_hand_values()
-
-
-def test_chunk_detection_on_the_numpy_path_hand_values(numpy_rk4):
-    assert_chunk_detection_hand_values()
+test_chunk_detection_on_the_numpy_path_hand_values = on_the_numpy_path(test_chunk_detection_hand_values)
 
 
 def test_initial_points_reproducible_and_in_box():
@@ -281,6 +272,15 @@ def test_ensemble_all_diverged():
     assert res.report.eta_empirical is None
     assert res.report.papr_db is None
     assert math.isnan(res.mean_convergence_time)
+
+
+@pytest.mark.parametrize("cfg", [_lorenz_cfg(n=5, horizon=0.0005), _henon_cfg(n=5, horizon=0.5)],
+                         ids=["lorenz", "henon"])
+def test_an_ensemble_shorter_than_a_step_measures_its_starts(cfg):
+    res = run_ensemble(cfg)
+    x = initial_points(cfg.ensemble, montecarlo.initial_box(cfg))[:, 0]
+    assert res.m2_mean == float(np.mean(x * x))
+    assert (res.papr_db_mean, res.fraction_converged, res.n_diverged) == (0.0, 0.0, 0)
 
 
 def _assert_identical(a, b):
@@ -444,8 +444,8 @@ def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
         assert got == float(np.mean(values))
 
 
-def test_ensemble_divergence_inside_a_block_on_the_numpy_path_matches_oracle_loop(numpy_rk4):
-    test_ensemble_divergence_inside_a_block_matches_oracle_loop()
+test_ensemble_divergence_inside_a_block_on_the_numpy_path_matches_oracle_loop = on_the_numpy_path(
+    test_ensemble_divergence_inside_a_block_matches_oracle_loop)
 
 
 def test_ensemble_chaotic_regime(std_params):

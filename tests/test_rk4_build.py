@@ -156,9 +156,9 @@ def _assert_flags_at_block_ends(libs, name, consts, calm, start, bound, width):
     # the columns are independent, so one orbit alone gives every block's start
     _, orbit = _fill(libs[0], name, np.array(start, dtype=float)[:, None], 4000, consts, _MAX)
     orbit = orbit[:, :, 0]
-    bad = ~(np.abs(orbit) <= bound).all(axis=1)
-    j = int(np.argmax(bad))
-    assert bad[j] and max(sizes) <= j <= len(orbit) - max(sizes)
+    beyond = ~(np.abs(orbit) <= bound).all(axis=1)
+    j = int(np.argmax(beyond))
+    assert beyond[j] and max(sizes) <= j <= len(orbit) - max(sizes)
     magnitude = np.abs(orbit[j]).max()
     bounds = [bound] + ([magnitude, np.nextafter(magnitude, 0.0)] if np.isfinite(magnitude) else [])
     src = np.repeat(np.array(calm, dtype=float)[:, None], width, axis=1)
