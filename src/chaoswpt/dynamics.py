@@ -73,6 +73,8 @@ class HenonParams:
     delta: float = 0.1
 
     def __post_init__(self):
+        if not (math.isfinite(self.gamma) and math.isfinite(self.delta)):
+            raise ValueError("gamma and delta must be finite")
         if self.gamma == 0.0:
             raise ValueError("gamma must be nonzero")
 

@@ -151,8 +151,8 @@ def dc_from_moments(m2: float, m4: float, coeff: HarvestCoefficients) -> float:
     quartic term dominates the quadratic one by more than SATURATION_RATIO,
     since the truncated polynomial model loses validity there.
     """
-    if m2 < 0.0 or m4 < 0.0:
-        raise MomentInconsistencyError(f"moments must be non-negative: m2={m2:g}, m4={m4:g}")
+    if not (0.0 <= m2 < math.inf and 0.0 <= m4 < math.inf):
+        raise MomentInconsistencyError(f"moments must be finite and non-negative: m2={m2:g}, m4={m4:g}")
     if m4 < m2 * m2 * (1.0 - _MOMENT_SLACK):
         raise MomentInconsistencyError(f"moments violate m4 >= m2^2: m2={m2:g}, m4={m4:g}")
     lin = coeff.c2 * m2
@@ -223,8 +223,8 @@ def waveform_papr_db(samples: np.ndarray) -> float:
         raise DegenerateSignalError("PAPR needs at least two samples")
     power = w * w
     mean_power = float(power.mean())
-    if not mean_power > 1e-30:
-        raise DegenerateSignalError(f"mean power {mean_power:g} too small for a PAPR")
+    if not 1e-30 < mean_power < math.inf:
+        raise DegenerateSignalError(f"mean power {mean_power:g} too small or not finite for a PAPR")
     return 10.0 * math.log10(float(power.max()) / mean_power)
 
 

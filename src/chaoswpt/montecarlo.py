@@ -9,14 +9,14 @@ widths or evaluation order.
 Realizations are integrated a chunk at a time by the time-blocked core of
 single orbits (:func:`chaoswpt.dynamics.sample_blocks`), one call per block;
 the core records each orbit's first bad step.  The bookkeeping runs once per
-block, vectorised over time: the moment, peak and power sums (added in step order, so the bits do not
-depend on the block length), and a strided, time-major subsample of each
-realization, on which one backward scan per chunk applies
-:func:`detect_steady_state`'s rule to every realization at once.  The sums and
-the scan run in the compiled library of :mod:`chaoswpt._rk4` where it builds,
-in :func:`_block_moments` and :func:`_quiet_counts` otherwise, with the same
-bits.  Full trajectories are never stored, and a chunk is as wide as its
-subsample fits :data:`_DETECTION_BYTES`, so memory stays bounded up to
+block, vectorised over time: the moment, peak and power sums (added in step
+order, so the bits do not depend on the block length), and a strided,
+time-major subsample of each realization, on which one backward scan per chunk
+applies :func:`detect_steady_state`'s rule to every realization at once.  The
+sums and the scan run in the compiled library of :mod:`chaoswpt._rk4` where it
+builds, in :func:`_block_moments` and :func:`_quiet_counts` otherwise, with
+the same bits.  Full trajectories are never stored, and a chunk is as wide as
+its subsample fits :data:`_DETECTION_BYTES`, so memory stays bounded up to
 166,666 subsample rows of the flow (16,666 time units at the 0.1 spacing) and
 250,000 map iterations; beyond that an 8-wide chunk's grows with the horizon.
 
@@ -265,7 +265,7 @@ def detect_steady_state(traj: Trajectory, tol: float = EnsembleConfig.steady_sta
     <= tol, provided the suffix it starts holds at least 10% of the rows (and
     no fewer than two); otherwise detection is refused.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     samples = traj.samples
     rev = samples[::-1]

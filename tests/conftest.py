@@ -1,11 +1,13 @@
 import contextlib
-import functools
+import shutil
 
 import pytest
 
 from chaoswpt import _rk4, montecarlo
 from chaoswpt.dynamics import LorenzParams, ScalingFactors
 from chaoswpt.harvest import LinkBudget, RectennaParams, coefficients
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 @pytest.fixture(scope="session")
@@ -35,19 +37,13 @@ def numpy_rk4(monkeypatch):
     monkeypatch.setattr(_rk4, "kernel", lambda: None)
 
 
-def on_the_numpy_path(test):
-    """``test`` once more, with ``numpy_rk4`` forcing the fallbacks.
-
-    Bound under a name of its own, ``test_x_on_the_numpy_path =
-    on_the_numpy_path(test_x)``, the twin keeps ``test``'s body and
-    parametrizations, and each test keeps its id.
-    """
-
-    @functools.wraps(test)
-    def twin(*args, **kwargs):
-        return test(*args, **kwargs)
-
-    return pytest.mark.usefixtures("numpy_rk4")(twin)
+@pytest.fixture(scope="session")
+def kernel():
+    """The compiled library, as ``_rk4.kernel()`` loads it; the test is skipped where it cannot be built."""
+    found = _rk4.kernel()
+    if found is None:
+        pytest.skip("the compiled RK4 kernel cannot be built here")
+    return found
 
 
 @pytest.fixture(params=["compiled", "numpy"])
@@ -56,10 +52,7 @@ def rk4_path(request):
 
     The compiled run is skipped where the library cannot be built.
     """
-    if request.param == "numpy":
-        request.getfixturevalue("numpy_rk4")
-    elif _rk4.kernel() is None:
-        pytest.skip("the compiled RK4 kernel cannot be built here")
+    request.getfixturevalue("kernel" if request.param == "compiled" else "numpy_rk4")
     return request.param
 
 

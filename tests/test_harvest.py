@@ -90,6 +90,10 @@ def test_dc_from_moments_jensen_violation(std_coeff):
         dc_from_moments(2.0, 1.0, std_coeff)
     with pytest.raises(MomentInconsistencyError):
         dc_from_moments(-1.0, 1.0, std_coeff)
+    # NaN compares false both ways, and no waveform has an infinite moment
+    for m2, m4 in [(math.nan, 1.0), (math.inf, math.inf)]:
+        with pytest.raises(MomentInconsistencyError):
+            dc_from_moments(m2, m4, std_coeff)
     # the boundary m4 == m2^2 (a constant-amplitude signal) is legitimate
     dc_from_moments(3.0, 9.0, std_coeff)
 
@@ -183,6 +187,9 @@ def test_fading_moments_validation():
         lambda: FadingMoments(m2=math.nan),
         lambda: FadingMoments(m4=math.nan),
         lambda: ScalingFactors(eps_y=math.nan),
+        lambda: HenonParams(math.nan, 0.1),
+        lambda: HenonParams(0.2, math.nan),
+        lambda: HenonParams(math.inf, 0.1),
     ],
 )
 def test_parameter_classes_reject_nan(build):
@@ -270,6 +277,8 @@ def test_papr_degenerate_signals():
         papr(_traj(np.zeros(100)))
     with pytest.raises(DegenerateSignalError):
         waveform_papr_db(np.array([1.0]))
+    with pytest.raises(DegenerateSignalError):
+        waveform_papr_db(np.array([1.0, math.inf]))
 
 
 def test_multisine_moments_frozen():

@@ -15,7 +15,6 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import on_the_numpy_path
 
 from chaoswpt import _rk4, dynamics
 from chaoswpt.dynamics import (
@@ -104,7 +103,7 @@ EPS = [(1.0, 1.0, 1.0), (6.0, 6.0, 6.0), (2.0, 3.0, 5.0)]
 # at width 5462 a block holds two rows, so the steps alternate between them
 @pytest.mark.parametrize("width", [1, 3, 1000, 5462])
 @pytest.mark.parametrize("eps", EPS)
-def test_lorenz_core_equals_textbook_rk4(width, eps):
+def test_lorenz_core_equals_textbook_rk4(rk4_path, width, eps):
     scaling = ScalingFactors(*eps)
     assert_core_matches(
         lorenz_step(CHAOTIC, scaling),
@@ -113,16 +112,10 @@ def test_lorenz_core_equals_textbook_rk4(width, eps):
     )
 
 
-test_lorenz_core_on_the_numpy_path_equals_textbook_rk4 = on_the_numpy_path(test_lorenz_core_equals_textbook_rk4)
-
-
 # at width 5462 a block holds two rows
 @pytest.mark.parametrize("width", [1, 3, 1000, 5462])
-def test_henon_core_equals_textbook_map(width):
+def test_henon_core_equals_textbook_map(rk4_path, width):
     assert_core_matches(henon(HENON), lambda s: oracle_henon(s, HENON), start(2, width, None, seed=width))
-
-
-test_henon_core_on_the_numpy_path_equals_textbook_map = on_the_numpy_path(test_henon_core_equals_textbook_map)
 
 
 @pytest.mark.parametrize("width", [1, 3])
@@ -205,7 +198,7 @@ def _record_start(orbit, k):
     return orbit[j - k], bound
 
 
-def test_divergence_past_the_first_block_keeps_step_and_message():
+def test_divergence_past_the_first_block_keeps_step_and_message(rk4_path):
     k = block_rows(3, 1) + 3
     orbit = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, ScalingFactors()), (1.0, 1.0, 20.0), 20 * k)
     s0, b = _record_start(orbit, k)
@@ -221,10 +214,6 @@ def test_divergence_past_the_first_block_keeps_step_and_message():
         iterate_henon(s0, HENON, n_steps=2 * k, divergence_bound=b)
     assert exc.value.step == k
     assert str(exc.value) == f"state magnitude exceeded {b:g} at step {k}"
-
-
-test_divergence_past_the_first_block_on_the_numpy_path_keeps_step_and_message = on_the_numpy_path(
-    test_divergence_past_the_first_block_keeps_step_and_message)
 
 
 @pytest.mark.parametrize("width", [1, 3, 1000])
@@ -258,7 +247,7 @@ def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
         assert np.array_equal(got[:, :, c], expected), (c, k)
 
 
-def test_divergence_is_reported_from_first_bad_sample():
+def test_divergence_is_reported_from_first_bad_sample(rk4_path):
     # escaping orbits leave at different steps; the core marks each orbit from
     # its own first bad sample and zeroes it, without numpy warnings
     rng = np.random.default_rng(11)
@@ -283,10 +272,6 @@ def test_divergence_is_reported_from_first_bad_sample():
             assert np.isfinite(samples).all()
             assert not samples[:, :, first >= 0].any()
     assert list(first) == first_bad
-
-
-test_divergence_on_the_numpy_path_is_reported_from_first_bad_sample = on_the_numpy_path(
-    test_divergence_is_reported_from_first_bad_sample)
 
 
 @pytest.mark.filterwarnings("error")
@@ -370,10 +355,7 @@ def test_a_sample_at_the_bound_is_good_and_one_ulp_past_it_bad(rk4_path, bound, 
     assert exc.value.step == 1
 
 
-def test_the_compiled_library_is_called_once_per_block(monkeypatch, chunk_width):
-    kernel = _rk4.kernel()
-    if kernel is None:
-        pytest.skip("the compiled RK4 kernel cannot be built here")
+def test_the_compiled_library_is_called_once_per_block(kernel, monkeypatch, chunk_width):
     calls = collections.Counter()
 
     def counted(name):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import on_the_numpy_path
 
 from chaoswpt import harvest, montecarlo
 
@@ -87,8 +86,9 @@ def test_detect_chaotic_regime_returns_none():
 
 def test_detect_tol_validation(std_params):
     traj = Trajectory(1.0, np.ones((10, 1)), 0)
-    with pytest.raises(ValueError):
-        detect_steady_state(traj, tol=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            detect_steady_state(traj, tol=tol)
 
 
 def _chunk(*columns):
@@ -126,7 +126,7 @@ def _detection_cases():
 
 
 @pytest.mark.parametrize("det, tol", _detection_cases())
-def test_chunk_detection_matches_detect_steady_state(det, tol):
+def test_chunk_detection_matches_detect_steady_state(rk4_path, det, tol):
     # the chunk scan gives each orbit what detect_steady_state gives it alone
     got = montecarlo._first_quiet_index(det, tol)
     assert got.shape == (det.shape[2],)
@@ -135,11 +135,7 @@ def test_chunk_detection_matches_detect_steady_state(det, tol):
         assert got[j] == (-1 if alone is None else alone), j
 
 
-test_chunk_detection_on_the_numpy_path_matches_detect_steady_state = on_the_numpy_path(
-    test_chunk_detection_matches_detect_steady_state)
-
-
-def test_chunk_detection_hand_values():
+def test_chunk_detection_hand_values(rk4_path):
     (det, tol), (det_edge, tol_edge) = _detection_cases()[:2]
     # constant, settling, swinging, 5-row and 4-row quiet suffixes, dead, edge
     idx = montecarlo._first_quiet_index(det, tol)
@@ -148,9 +144,6 @@ def test_chunk_detection_hand_values():
     assert montecarlo._first_quiet_index(det_edge, tol_edge)[1] == 40
     assert montecarlo._first_quiet_index(det_edge, np.nextafter(tol_edge, 0.0))[1] == -1
     assert list(montecarlo._first_quiet_index(*_detection_cases()[-1])) == [36, -1]
-
-
-test_chunk_detection_on_the_numpy_path_hand_values = on_the_numpy_path(test_chunk_detection_hand_values)
 
 
 def test_initial_points_reproducible_and_in_box():
@@ -290,10 +283,10 @@ def _assert_identical(a, b):
 
 
 @pytest.mark.parametrize("system", ["lorenz", "henon"])
-def test_ensemble_independent_of_chunk_width(chunk_width, system):
-    # one-orbit chunks take the steps' float branches where they have one; on
-    # the numpy path a block of 2000 orbits is summed row by row, narrower
-    # ones accumulated
+def test_ensemble_independent_of_chunk_width(rk4_path, chunk_width, system):
+    # on the numpy path a chunk of one orbit takes the textbook step on Python
+    # floats and a wider one on arrays, with the same bits, and a block of
+    # 2000 map orbits is summed row by row, narrower ones accumulated
     if system == "lorenz":
         n = 12
         cfg = replace(_lorenz_cfg(n=n), ensemble=EnsembleConfig(n_realizations=n, dt=0.01, horizon=30.0))
@@ -311,17 +304,6 @@ def test_ensemble_independent_of_chunk_width(chunk_width, system):
         assert 0 < results[0].n_diverged < n
     for other in results[1:]:
         _assert_identical(results[0], other)
-
-
-def test_lorenz_ensemble_on_the_numpy_path_independent_of_chunk_width(chunk_width, numpy_rk4):
-    # here a chunk of one orbit takes the textbook step on Python floats and
-    # a wider one on arrays, with the same bits
-    test_ensemble_independent_of_chunk_width(chunk_width, "lorenz")
-
-
-def test_henon_ensemble_on_the_numpy_path_independent_of_chunk_width(chunk_width, numpy_rk4):
-    # the map steps the same way on every path; its block sums do not
-    test_ensemble_independent_of_chunk_width(chunk_width, "henon")
 
 
 def _records(cfg, chunk, chunk_width):
@@ -412,7 +394,7 @@ def test_a_chunk_is_the_most_whole_vectors_whose_detection_buffer_fits_the_budge
         assert width == 8
 
 
-def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
+def test_ensemble_divergence_inside_a_block_matches_oracle_loop(rk4_path):
     # realizations leave the map's basin at different steps, most of them
     # inside a block; the engine must drop exactly those, quietly
     gamma, delta, bound = 1.4, 0.3, 1e6
@@ -442,10 +424,6 @@ def test_ensemble_divergence_inside_a_block_matches_oracle_loop():
     assert res.n_diverged == 300 - len(m2)
     for got, values in ((res.m2_mean, m2), (res.m4_mean, m4)):
         assert got == float(np.mean(values))
-
-
-test_ensemble_divergence_inside_a_block_on_the_numpy_path_matches_oracle_loop = on_the_numpy_path(
-    test_ensemble_divergence_inside_a_block_matches_oracle_loop)
 
 
 def test_ensemble_chaotic_regime(std_params):

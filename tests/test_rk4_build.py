@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import needs_cc
 
 from chaoswpt import _rk4, montecarlo
 from chaoswpt.cli import main
@@ -31,8 +32,6 @@ from chaoswpt.dynamics import (
 from chaoswpt.errors import CompiledKernelWarning
 
 ROOT = Path(__file__).resolve().parents[1]
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 
 @pytest.fixture
@@ -353,9 +352,10 @@ def test_without_a_compiler_ensembles_step_through_numpy_with_one_warning(fresh_
     assert np.array_equal(first, expected) and np.array_equal(second, expected)
 
 
-# the flow settled and chaotic, the map and a multisine; 2100 realizations make
-# a 2048-wide chunk of 5-row blocks and a 52-wide one of 218-row blocks, so the
-# numpy sums take both of _running_sum's paths
+# the flow settled and chaotic, the map and a multisine; 2100 realizations in
+# chunks of 2048 make a 2048-wide chunk of 5-row (flow) or 8-row (map) blocks
+# and a 52-wide one of 210-row or 315-row blocks, so the numpy sums take both
+# of _running_sum's paths
 _FIG4 = """
 experiment: fig4
 fig4: {pt_dbm_values: [10, 30], lorenz_r_values: [12, 28], henon_params: [[0.2, 0.1]], n_tones_values: [4]}
@@ -375,9 +375,7 @@ ensemble: {horizon: 5}
 """
 
 
-def test_a_run_writes_the_same_bytes_on_the_compiled_and_the_numpy_path(request, tmp_path):
-    if _rk4.kernel() is None:
-        pytest.skip("the compiled RK4 kernel cannot be built here")
+def test_a_run_writes_the_same_bytes_on_the_compiled_and_the_numpy_path(kernel, request, tmp_path, chunk_width):
     configs = {"fig4": _FIG4, "trajectory": _TRAJECTORY, "fig3": _FIG3}
     out = tmp_path / "out"
 
@@ -385,7 +383,8 @@ def test_a_run_writes_the_same_bytes_on_the_compiled_and_the_numpy_path(request,
         cfg = tmp_path / f"{name}.yaml"
         cfg.write_text(configs[name])
         # the same out_dir every time: the manifest records it
-        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        with chunk_width(2048):
+            assert main(["run", str(cfg), "--out", str(out)]) == 0
         written = {p.name: p.read_bytes() for p in out.iterdir()}
         shutil.rmtree(out)
         return written

@@ -1,6 +1,5 @@
 """The trajectory text: every value printed as ``'%.17g' % v``, by the compiled library and by ``%``."""
 
-import shutil
 import struct
 import subprocess
 
@@ -8,12 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import needs_cc
 
 from chaoswpt import _rk4, io_utils
 from chaoswpt.dynamics import HenonParams, LorenzParams, Trajectory, integrate_lorenz, iterate_henon
 from chaoswpt.io_utils import trajectory_csv
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 
 #: the three longest '%.17g' texts a double has, 24 bytes each
 _LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e+308, -4.9406564584124654e-324]
@@ -51,14 +49,6 @@ def _edges():
         below, above = np.nextafter(centre, 0.0), np.nextafter(centre, np.inf)
         values += [np.nextafter(below, 0.0), below, centre, above, np.nextafter(above, np.inf)]
     return values + [-v for v in values]
-
-
-@pytest.fixture(scope="module")
-def lib():
-    found = _rk4.kernel()
-    if found is None:
-        pytest.skip("the compiled library cannot be built here")
-    return found
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +98,7 @@ def test_hand_values(rk4_path, value, text):
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_the_longest_values_stay_within_the_row_bound(lib, dim):
+def test_the_longest_values_stay_within_the_row_bound(kernel, dim):
     assert {len("%.17g" % v) for v in _LONGEST} == {24}
     n = 300
     samples = np.resize(_LONGEST, (n, dim))
@@ -118,7 +108,7 @@ def test_the_longest_values_stay_within_the_row_bound(lib, dim):
     dt = _LONGEST[0] if dim == 3 else 1.0
     bound = n * (dim + 1) * io_utils._CELL_BYTES
     buf = np.full(bound + 64, 0xA5, dtype=np.uint8)
-    end = lib.format_rows(samples.ctypes.data, n, dim, dt, buf.ctypes.data)
+    end = kernel.format_rows(samples.ctypes.data, n, dim, dt, buf.ctypes.data)
     assert end <= bound and (buf[bound:] == 0xA5).all()
     expected = _percent_text(Trajectory(dt, samples, 0))
     assert buf[:end].tobytes().decode("ascii") == expected[expected.index("\n") + 1:]
@@ -128,20 +118,20 @@ def test_the_longest_values_stay_within_the_row_bound(lib, dim):
 @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                           st.floats(1e-5, 1e16).flatmap(lambda v: st.sampled_from([v, -v]))),
                 min_size=1, max_size=64))
-def test_finite_doubles_print_as_percent(lib, values):
-    assert _printed(lib, values) == ["%.17g" % v for v in values]
+def test_finite_doubles_print_as_percent(kernel, values):
+    assert _printed(kernel, values) == ["%.17g" % v for v in values]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1).map(_double), min_size=1, max_size=64))
-def test_every_bit_pattern_prints_as_percent(lib, values):
+def test_every_bit_pattern_prints_as_percent(kernel, values):
     # NaN and inf among them
-    assert _printed(lib, values) == ["%.17g" % v for v in values]
+    assert _printed(kernel, values) == ["%.17g" % v for v in values]
 
 
 @needs_cc
 @pytest.mark.parametrize("flags", [["-O0"], ["-O3", "-U__SIZEOF_INT128__"]], ids=["O0", "no-int128"])
-def test_an_unoptimised_build_and_one_without_128_bit_integers_print_the_same(lib, tmp_path, flags):
+def test_an_unoptimised_build_and_one_without_128_bit_integers_print_the_same(kernel, tmp_path, flags):
     # without 128-bit integers every value goes through snprintf
     path = tmp_path / "lib.so"
     subprocess.run(["cc", *flags, "-ffp-contract=off", "-shared", "-fPIC", "-x", "c", "-o", str(path), "-"],
@@ -154,7 +144,7 @@ def test_an_unoptimised_build_and_one_without_128_bit_integers_print_the_same(li
         np.arange(20_000) * 1e-3,
         _edges(),
     ])
-    printed = _printed(lib, values)
+    printed = _printed(kernel, values)
     assert _printed(other, values) == printed
     assert printed == ["%.17g" % v for v in values.tolist()]
 
