@@ -56,6 +56,20 @@ def rk4_path(request):
     return request.param
 
 
+def on_both_paths(argnames, cases):
+    """``parametrize`` a test over ``rk4_path`` and ``cases``, each a ``pytest.param`` with an id.
+
+    A case's compiled run keeps the case's own id, the one it had while the
+    test ran on one path; its numpy run's id is ``numpy-`` and that id.
+    """
+    return pytest.mark.parametrize(
+        ["rk4_path", *argnames],
+        [pytest.param(path, *case.values, id=case.id if path == "compiled" else f"numpy-{case.id}")
+         for path in ("compiled", "numpy") for case in cases],
+        indirect=["rk4_path"],
+    )
+
+
 @contextlib.contextmanager
 def _forced_chunk_width(width):
     grid = montecarlo._detection_grid

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import on_both_paths
 
 from chaoswpt import _rk4, dynamics
 from chaoswpt.dynamics import (
@@ -98,12 +99,13 @@ def assert_core_matches(step, oracle, state):
 
 # unequal factors make every coefficient of the scaled field differ from 1
 EPS = [(1.0, 1.0, 1.0), (6.0, 6.0, 6.0), (2.0, 3.0, 5.0)]
+WIDTHS = [1, 3, 1000, 5462]
 
 
 # at width 5462 a block holds two rows, so the steps alternate between them
-@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
-@pytest.mark.parametrize("eps", EPS)
-def test_lorenz_core_equals_textbook_rk4(rk4_path, width, eps):
+@on_both_paths(["eps", "width"],
+               [pytest.param(eps, width, id=f"eps{i}-{width}") for i, eps in enumerate(EPS) for width in WIDTHS])
+def test_lorenz_core_equals_textbook_rk4(rk4_path, eps, width):
     scaling = ScalingFactors(*eps)
     assert_core_matches(
         lorenz_step(CHAOTIC, scaling),
@@ -113,7 +115,7 @@ def test_lorenz_core_equals_textbook_rk4(rk4_path, width, eps):
 
 
 # at width 5462 a block holds two rows
-@pytest.mark.parametrize("width", [1, 3, 1000, 5462])
+@on_both_paths(["width"], [pytest.param(width, id=str(width)) for width in WIDTHS])
 def test_henon_core_equals_textbook_map(rk4_path, width):
     assert_core_matches(henon(HENON), lambda s: oracle_henon(s, HENON), start(2, width, None, seed=width))
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import on_both_paths
 
 from chaoswpt import harvest, montecarlo
 
@@ -125,7 +126,8 @@ def _detection_cases():
     ]
 
 
-@pytest.mark.parametrize("det, tol", _detection_cases())
+@on_both_paths(["det", "tol"],
+               [pytest.param(det, tol, id=f"det{i}-{tol}") for i, (det, tol) in enumerate(_detection_cases())])
 def test_chunk_detection_matches_detect_steady_state(rk4_path, det, tol):
     # the chunk scan gives each orbit what detect_steady_state gives it alone
     got = montecarlo._first_quiet_index(det, tol)
