@@ -7,7 +7,7 @@ and power sums and a chunk's backward settling scan.  Each does its
 arithmetic in the operation order of the numpy code it replaces, so every
 path agrees bit for bit.  Its loops run across orbits at SIMD width; on
 x86-64 with glibc the loader picks the AVX-512, AVX2 or baseline clone the
-CPU runs.  It also prints a trajectory's rows in the bytes of ``'%.17g' % v``:
+CPU runs.  It also prints a trajectory's rows in the bytes of ``b'%.17g' % v``:
 an exact 17-digit conversion in 128-bit integers, and ``snprintf`` for the
 values outside it or where the compiler has no 128-bit integer.
 
@@ -24,7 +24,7 @@ and :func:`chaoswpt.dynamics.henon_step` fill the block one textbook step at a
 time, single orbits (trajectories, fig3 points) included, and
 :func:`chaoswpt.montecarlo.run_ensemble` adds the sums with ``_block_moments``
 and scans with ``_quiet_counts``, and :func:`chaoswpt.io_utils.trajectory_csv`
-prints with ``%``, with the same results.
+prints the same bytes with ``%``, with the same results.
 """
 
 from __future__ import annotations

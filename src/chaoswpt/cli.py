@@ -10,9 +10,9 @@ The harvest experiments (fig2, fig3, fig4, sweep) share one runner: it
 evaluates the sweeps :func:`chaoswpt.config.harvest_files` lists for each
 file and writes their rows in that order.
 
-All results are computed before anything is written.  The outputs are staged
-in a temp directory inside the output directory and renamed into place once
-all are written, manifest last; a failure removes every one of them.
+All results are computed, as the files' bytes, before anything is written.
+They are staged in a temp directory inside the output directory and renamed
+into place once all are written, manifest last; a failure removes them all.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .montecarlo import sweep
 from .stability import hurwitz_stable
 
 
-def _run_trajectory(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+def _run_trajectory(cfg: ExperimentConfig) -> list[tuple[str, bytes]]:
     base = cfg.base
     tr = cfg.trajectory
     if base.system == "lorenz":
@@ -50,7 +50,7 @@ def _run_trajectory(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     return [("trajectory.csv", trajectory_csv(traj))]
 
 
-def _run_scan(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+def _run_scan(cfg: ExperimentConfig) -> list[tuple[str, bytes]]:
     rows = []
     for sigma, beta, r in itertools.product(
         cfg.scan.sigma_values, cfg.scan.beta_values, cfg.scan.r_values
@@ -61,7 +61,7 @@ def _run_scan(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     return [("stability_scan.csv", csv_text(SCAN_HEADER, rows))]
 
 
-def _run_harvest(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+def _run_harvest(cfg: ExperimentConfig) -> list[tuple[str, bytes]]:
     """Each harvest CSV, holding the rows of its sweeps in turn."""
     return [
         (name, csv_text(HARVEST_HEADER, [harvest_row(res) for spec in specs for res in sweep(spec)]))
@@ -81,8 +81,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     stage = Path(tempfile.mkdtemp(prefix=".staged-", dir=out_dir))
     written = []
     try:
-        for name, text in outputs:
-            write_text_atomic(stage / name, text)
+        for name, data in outputs:
+            write_text_atomic(stage / name, data)
         for name, _ in outputs:
             os.replace(stage / name, out_dir / name)
             written.append(out_dir / name)

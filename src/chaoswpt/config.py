@@ -370,8 +370,8 @@ def to_document(cfg):
     return doc
 
 
-def manifest_text(cfg: ExperimentConfig) -> str:
-    return yaml.dump(to_document(cfg), Dumper=_DUMPER, sort_keys=True, default_flow_style=False)
+def manifest_text(cfg: ExperimentConfig) -> bytes:
+    return yaml.dump(to_document(cfg), Dumper=_DUMPER, sort_keys=True, default_flow_style=False, encoding="ascii")
 
 
 def apply_overrides(

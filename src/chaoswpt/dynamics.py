@@ -61,7 +61,7 @@ class LorenzParams:
     beta: float = 8.0 / 3.0
 
     def __post_init__(self):
-        if not (self.sigma > 0 and self.beta > 0 and self.r > 0):
+        if not all(0 < v < math.inf for v in (self.sigma, self.r, self.beta)):
             raise ValueError("sigma, r, beta must all be positive")
 
 
@@ -88,7 +88,7 @@ class ScalingFactors:
     eps_z: float = 1.0
 
     def __post_init__(self):
-        if not all(eps >= 1.0 for eps in (self.eps_x, self.eps_y, self.eps_z)):
+        if not all(1.0 <= eps < math.inf for eps in (self.eps_x, self.eps_y, self.eps_z)):
             raise ValueError("scaling factors must be >= 1")
 
 
@@ -128,8 +128,8 @@ def steps_for_horizon(horizon: float, dt: float) -> int:
     below a whole number rounds up to it.  A count beyond ``sys.maxsize``,
     more steps than an array can index, is rejected.
     """
-    if not (dt > 0 and horizon > 0 and math.isfinite(horizon / dt)):
-        raise ValueError(f"dt and horizon must be positive with a finite ratio, got {dt:g} and {horizon:g}")
+    if not (0 < dt < math.inf and horizon > 0 and math.isfinite(horizon / dt)):
+        raise ValueError(f"dt and horizon must be finite and positive with a finite ratio, got {dt:g} and {horizon:g}")
     n_steps = int(math.floor(horizon / dt + 1e-9))
     if n_steps > sys.maxsize:
         raise ValueError(f"horizon {horizon:g} at dt {dt:g} is {n_steps:.3g} steps, more than {sys.maxsize}")

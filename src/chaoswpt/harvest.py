@@ -53,9 +53,11 @@ class LinkBudget:
     alpha: float = 4.0
 
     def __post_init__(self):
-        if not self.d_m > 0:
+        if not math.isfinite(self.pt_dbm):
+            raise ValueError("transmit power must be finite")
+        if not 0 < self.d_m < math.inf:
             raise ValueError("distance must be positive")
-        if not self.alpha >= 0:
+        if not 0 <= self.alpha < math.inf:
             raise ValueError("path-loss exponent must be >= 0")
 
     @property
@@ -76,7 +78,7 @@ class RectennaParams:
     r_ant: float = 50.0
 
     def __post_init__(self):
-        if not all(v > 0 for v in (self.k2, self.k4, self.r_ant)):
+        if not all(0 < v < math.inf for v in (self.k2, self.k4, self.r_ant)):
             raise ValueError("k2, k4, r_ant must all be positive")
 
 
@@ -100,7 +102,7 @@ class FadingMoments:
     m4: float = 1.0
 
     def __post_init__(self):
-        if not (self.m2 >= 0 and self.m4 >= 0):
+        if not (0 <= self.m2 < math.inf and 0 <= self.m4 < math.inf):
             raise ValueError("channel moments must be non-negative")
         if self.m4 < self.m2 * self.m2 * (1.0 - _MOMENT_SLACK):
             raise MomentInconsistencyError(

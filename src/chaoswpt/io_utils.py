@@ -1,16 +1,15 @@
-"""CSV/text serialization with atomic writes and full-precision floats.
+"""CSV serialization to ASCII bytes, with atomic writes and full-precision floats.
 
 Floats are rendered with %.17g so every written value round-trips to the same
 IEEE double; runs with identical configs therefore produce byte-identical
 files.  A trajectory's rows are printed by the compiled library when it
 loads, in the bytes Python's ``%`` gives, and by ``%`` otherwise.  Writers
-stage into a temp file in the destination directory and os.replace() it into
-place, so a crashed run never leaves a partial file.
+stage the bytes in a temp file in the destination directory and os.replace()
+it into place, so a crashed run never leaves a partial file.
 """
 
 from __future__ import annotations
 
-import codecs
 import math
 import os
 from pathlib import Path
@@ -58,13 +57,13 @@ def fmt_value(v) -> str:
     return str(v)
 
 
-def csv_text(header: list[str], rows: list[list]) -> str:
+def csv_text(header: list[str], rows: list[list]) -> bytes:
     lines = [",".join(header)]
     lines.extend(",".join(fmt_value(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(path: str | Path, data: bytes | memoryview) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # a fresh name, created exclusively as mkstemp does, but with mode 0o666
@@ -72,40 +71,40 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def trajectory_csv(traj) -> str:
-    """Serialize a Trajectory: ``t,x,y,z`` for flows, ``n,x,y`` for maps.
+def trajectory_csv(traj) -> bytes | memoryview:
+    """Serialize a Trajectory to ASCII bytes: ``t,x,y,z`` for flows, ``n,x,y`` for maps.
 
     The first column is ``np.arange(n) * dt`` for a flow and the index for a
-    map, and every value is printed as ``'%.17g' % v``.  The compiled library
-    writes the rows when it loads; ``%`` writes the same bytes otherwise.
+    map, and every value is printed as ``b'%.17g' % v``: by the compiled library
+    when it loads, into a buffer returned as a view, and by ``%`` otherwise.
     """
     samples = traj.samples
     n, dim = samples.shape
     flow = dim == 3
-    head = "t,x,y,z\n" if flow else "n,x,y\n"
+    head = b"t,x,y,z\n" if flow else b"n,x,y\n"
     lib = _rk4.kernel()
     if lib is not None:
         # one buffer, written once: the header, then rows of at most
         # (dim + 1) cells each
         samples = np.ascontiguousarray(samples, dtype=np.float64)
         buf = np.empty(len(head) + n * (dim + 1) * _CELL_BYTES, dtype=np.uint8)
-        buf[:len(head)] = np.frombuffer(head.encode(), dtype=np.uint8)
+        buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
         # a map's index k is printed as k * 1.0
         end = len(head) + lib.format_rows(samples.ctypes.data, n, dim, traj.dt if flow else 1.0,
                                           buf.ctypes.data + len(head))
-        return codecs.decode(memoryview(buf)[:end], "ascii")
+        return memoryview(buf)[:end]
     if flow:
-        row, first = "%.17g,%.17g,%.17g,%.17g\n", np.arange(n) * traj.dt
+        row, first = b"%.17g,%.17g,%.17g,%.17g\n", np.arange(n) * traj.dt
     else:
-        row, first = "%d,%.17g,%.17g\n", np.arange(n)
+        row, first = b"%d,%.17g,%.17g\n", np.arange(n)
     table = np.column_stack((first, samples))
     # one % per block of rows, over the row format repeated; the block bounds
     # how many floats are alive at once
@@ -113,7 +112,7 @@ def trajectory_csv(traj) -> str:
     for i in range(0, n, _TEXT_ROWS):
         block = table[i:i + _TEXT_ROWS]
         parts.append((row * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    return b"".join(parts)
 
 
 def harvest_row(result) -> list:

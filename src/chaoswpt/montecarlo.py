@@ -123,8 +123,8 @@ class EnsembleConfig:
             if len(self.init_box) not in STATE_DIM.values():
                 raise ValueError(f"init_box must have 2 (map) or 3 (flow) pairs, got {len(self.init_box)}")
             for lo, hi in self.init_box:
-                if not lo <= hi:
-                    raise ValueError(f"init_box bounds out of order: ({lo:g}, {hi:g})")
+                if not -math.inf < lo <= hi < math.inf:
+                    raise ValueError(f"init_box bounds must be finite and in order: ({lo:g}, {hi:g})")
 
 
 @dataclass(frozen=True)

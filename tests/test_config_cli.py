@@ -155,16 +155,15 @@ def test_fmt_value_rendering():
 
 
 def test_csv_text_layout():
-    text = csv_text(["a", "b"], [[1, None], [2.5, True]])
-    assert text == "a,b\n1,\n2.5,true\n"
+    data = csv_text(["a", "b"], [[1, None], [2.5, True]])
+    assert data == b"a,b\n1,\n2.5,true\n"
 
 
 def test_trajectory_csv_round_trip(std_params):
     traj = integrate_lorenz((1.0, -5.0, 20.0), std_params, horizon=0.5)
-    text = trajectory_csv(traj)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x,y,z"
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    lines = bytes(trajectory_csv(traj)).strip().split(b"\n")
+    assert lines[0] == b"t,x,y,z"
+    parsed = np.array([[float(v) for v in line.split(b",")] for line in lines[1:]])
     assert np.array_equal(parsed[:, 1:], traj.samples)
     assert parsed[0, 0] == 0.0 and parsed[-1, 0] == pytest.approx(0.5, rel=1e-12)
 
@@ -172,24 +171,24 @@ def test_trajectory_csv_round_trip(std_params):
 def test_trajectory_csv_map_text():
     # every state of this orbit is a short binary fraction, so the text is exact
     traj = iterate_henon((0.0, 0.0), HenonParams(0.5, 0.5), n_steps=4)
-    assert trajectory_csv(traj) == "n,x,y\n0,0,0\n1,1,0\n2,0.5,0.5\n3,1.375,0.25\n4,0.3046875,0.6875\n"
+    assert trajectory_csv(traj) == b"n,x,y\n0,0,0\n1,1,0\n2,0.5,0.5\n3,1.375,0.25\n4,0.3046875,0.6875\n"
 
 
 def test_trajectory_csv_map_header():
     traj = iterate_henon((0.0, 0.0), HenonParams(0.2, 0.1), n_steps=3)
-    lines = trajectory_csv(traj).strip().split("\n")
-    assert lines[0] == "n,x,y"
-    assert lines[1].startswith("0,")
-    assert lines[-1].startswith("3,")
+    lines = bytes(trajectory_csv(traj)).strip().split(b"\n")
+    assert lines[0] == b"n,x,y"
+    assert lines[1].startswith(b"0,")
+    assert lines[-1].startswith(b"3,")
 
 
 def test_write_text_atomic(tmp_path):
     target = tmp_path / "deep" / "file.txt"
-    write_text_atomic(target, "payload")
-    assert target.read_text() == "payload"
+    write_text_atomic(target, b"payload")
+    assert target.read_bytes() == b"payload"
     assert list(target.parent.glob("*.tmp")) == []
-    write_text_atomic(target, "replaced")
-    assert target.read_text() == "replaced"
+    write_text_atomic(target, b"replaced")
+    assert target.read_bytes() == b"replaced"
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
@@ -352,10 +351,10 @@ def test_cli_failed_rename_leaves_no_output(tmp_path, capsys):
 def test_cli_failed_staging_leaves_no_output(tmp_path, capsys, monkeypatch):
     write = cli.write_text_atomic
 
-    def fail_on_manifest(path, text):
+    def fail_on_manifest(path, data):
         if Path(path).name == "manifest.yaml":
             raise OSError("disk full")
-        write(path, text)
+        write(path, data)
 
     monkeypatch.setattr(cli, "write_text_atomic", fail_on_manifest)
     out = tmp_path / "out"
@@ -778,7 +777,7 @@ def test_libyaml_and_the_pure_python_classes_give_the_same_manifest(monkeypatch,
     for loader, dumper in ((yaml.CSafeLoader, yaml.CSafeDumper), (yaml.SafeLoader, yaml.SafeDumper)):
         monkeypatch.setattr(config, "_LOADER", loader)
         monkeypatch.setattr(config, "_DUMPER", dumper)
-        manifests.append(manifest_text(validate_config(text)).encode("utf-8"))
+        manifests.append(manifest_text(validate_config(text)))
     assert manifests[0] == manifests[1]
 
 

@@ -146,7 +146,7 @@ def test_steps_for_horizon_needs_a_finite_step_count():
     # finite, and within what an array can index
     assert steps_for_horizon(2.0**62, 1.0) == 2**62
     for horizon, dt in [(math.inf, 1e-3), (1e300, 1e-300), (math.nan, 1e-3), (1.0, math.nan),
-                        (2.0**63, 1.0), (1e300, 1e-3)]:
+                        (2.0**63, 1.0), (1e300, 1e-3), (1.0, math.inf)]:
         with pytest.raises(ValueError):
             steps_for_horizon(horizon, dt)
 

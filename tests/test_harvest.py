@@ -190,11 +190,21 @@ def test_fading_moments_validation():
         lambda: HenonParams(math.nan, 0.1),
         lambda: HenonParams(0.2, math.nan),
         lambda: HenonParams(math.inf, 0.1),
+        lambda: LorenzParams(sigma=math.inf),
+        lambda: LorenzParams(r=math.inf),
+        lambda: LorenzParams(beta=math.inf),
+        lambda: ScalingFactors(math.inf, 1, 1),
+        lambda: LinkBudget(pt_dbm=-math.inf),
+        lambda: LinkBudget(pt_dbm=math.nan),
+        lambda: LinkBudget(d_m=math.inf),
+        lambda: LinkBudget(alpha=math.inf),
+        lambda: RectennaParams(k2=math.inf),
+        lambda: FadingMoments(math.inf, math.inf),
     ],
 )
 def test_parameter_classes_reject_nan(build):
     # a NaN compares false both ways, so each range check must be stated as
-    # "not inside the range" to catch it
+    # "not inside the range" to catch it, and the range must end short of inf
     with pytest.raises(ValueError):
         build()
 

@@ -580,6 +580,8 @@ def test_patched_config_rejects_fractional_tone_count():
         {"dt": math.nan},
         {"init_box": ((0.0, 1.0),)},  # one pair fits neither the flow nor the map
         {"init_box": ((0.0, 1.0),) * 4},
+        {"init_box": ((-math.inf, math.inf),) * 3},  # every draw would be NaN
+        {"dt": math.inf},
     ],
 )
 def test_ensemble_config_rejects_what_no_ensemble_can_use(kwargs):

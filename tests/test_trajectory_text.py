@@ -2,6 +2,7 @@
 
 import struct
 import subprocess
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from conftest import needs_cc
 
 from chaoswpt import _rk4, io_utils
 from chaoswpt.dynamics import HenonParams, LorenzParams, Trajectory, integrate_lorenz, iterate_henon
-from chaoswpt.io_utils import trajectory_csv
+from chaoswpt.io_utils import trajectory_csv, write_text_atomic
 
 #: the three longest '%.17g' texts a double has, 24 bytes each
 _LONGEST = [-2.2250738585072014e-308, -1.7976931348623157e+308, -4.9406564584124654e-324]
@@ -22,14 +23,14 @@ def _double(bits):
 
 
 def _percent_text(traj):
-    """The oracle: the trajectory's text built value by value with ``%``."""
+    """The oracle: the trajectory's text built value by value with ``%``, as ASCII bytes."""
     n, dim = traj.samples.shape
     if dim == 3:
         head, first = "t,x,y,z", ["%.17g" % t for t in (np.arange(n) * traj.dt).tolist()]
     else:
         head, first = "n,x,y", ["%d" % k for k in range(n)]
     rows = (",".join([f, *("%.17g" % v for v in row)]) for f, row in zip(first, traj.samples.tolist()))
-    return "\n".join([head, *rows]) + "\n"
+    return ("\n".join([head, *rows]) + "\n").encode("ascii")
 
 
 def _table(values, dim):
@@ -75,6 +76,20 @@ def test_long_orbits_print_as_percent(rk4_path, orbits, kind):
     assert trajectory_csv(traj) == _percent_text(traj)
 
 
+def test_the_text_is_held_once_on_its_way_to_the_file(kernel, orbits, tmp_path):
+    # the printed buffer is written as it is: no decoded str, no encoded copy of it
+    traj = orbits["flow"]
+    n, dim = traj.samples.shape
+    printed = len(b"t,x,y,z\n") + n * (dim + 1) * io_utils._CELL_BYTES
+    tracemalloc.start()
+    try:
+        write_text_atomic(tmp_path / "t.csv", trajectory_csv(traj))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < printed + 1_000_000
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_edge_values_print_as_percent(rk4_path, dim):
     traj = _table(_edges(), dim)
@@ -94,7 +109,7 @@ def test_edge_values_print_as_percent(rk4_path, dim):
     (float("-inf"), "-inf"),
 ])
 def test_hand_values(rk4_path, value, text):
-    assert trajectory_csv(_table([value], 2)) == f"n,x,y\n0,{text},0\n"
+    assert trajectory_csv(_table([value], 2)) == f"n,x,y\n0,{text},0\n".encode("ascii")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -111,7 +126,7 @@ def test_the_longest_values_stay_within_the_row_bound(kernel, dim):
     end = kernel.format_rows(samples.ctypes.data, n, dim, dt, buf.ctypes.data)
     assert end <= bound and (buf[bound:] == 0xA5).all()
     expected = _percent_text(Trajectory(dt, samples, 0))
-    assert buf[:end].tobytes().decode("ascii") == expected[expected.index("\n") + 1:]
+    assert buf[:end].tobytes() == expected[expected.index(b"\n") + 1:]
 
 
 @settings(max_examples=300, deadline=None)
