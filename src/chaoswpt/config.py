@@ -320,13 +320,18 @@ def _cross_block(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"sweep.parameter: {cfg.sweep.parameter!r} does not apply to system {base.system!r}")
     # every value the run's sweeps patch in (once the parameter applies), under
     # the key that lists it, and every ensemble they draw; each problem once
-    specs = [spec for _, file_specs in harvest_files(cfg) for spec in file_specs]
+    files = harvest_files(cfg)
+    specs = [spec for _, file_specs in files for spec in file_specs]
     for spec in [] if problems else specs:
         key = "sweep.values" if cfg.experiment == "sweep" else f"{cfg.experiment}.{spec.parameter}_values"
         reasons = [exc for value in spec.values if (exc := _reason(patched_config, spec.fixed, spec.parameter, value))]
         problems.extend(f"{key}: {exc}" for exc in reasons)
     reasons = [exc for spec in specs if spec.fixed.system in STATE_DIM and (exc := _reason(initial_box, spec.fixed))]
     problems.extend(f"ensemble.init_box: {exc}" for exc in reasons)
+    # points whose values print alike in a file name would write one file twice
+    names = [name for name, _ in files]
+    problems.extend(f"{cfg.experiment}: two points write the same file {name}"
+                    for name in names if names.count(name) > 1)
     return list(dict.fromkeys(problems))
 
 

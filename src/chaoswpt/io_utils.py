@@ -1,17 +1,16 @@
-"""CSV serialization to ASCII bytes, with atomic writes and full-precision floats.
+"""CSV serialization to ASCII bytes, with full-precision floats.
 
 Floats are rendered with %.17g so every written value round-trips to the same
 IEEE double; runs with identical configs therefore produce byte-identical
 files.  A trajectory's rows are printed by the compiled library when it
-loads, in the bytes Python's ``%`` gives, and by ``%`` otherwise.  Writers
-stage the bytes in a temp file in the destination directory and os.replace()
-it into place, so a crashed run never leaves a partial file.
+loads, in the bytes Python's ``%`` gives, and by ``%`` otherwise.  The writer
+creates each file once, in the run's private stage; the runner renames it
+into place, so a crashed run never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -64,19 +63,13 @@ def csv_text(header: list[str], rows: list[list]) -> bytes:
 
 
 def write_text_atomic(path: str | Path, data: bytes | memoryview) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # a fresh name, created exclusively as mkstemp does, but with mode 0o666
-    # so that the umask sets the output's permissions
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    """Create ``path``, which must not exist yet, holding ``data``.
+
+    The file is written once and never over another; the atomicity is the
+    runner's, which writes into a private stage and renames each file out.
+    """
+    with open(path, "xb") as fh:
+        fh.write(data)
 
 
 def trajectory_csv(traj) -> bytes | memoryview:

@@ -116,8 +116,8 @@ class EnsembleConfig:
             _, n_det, width = _detection_grid(steps_for_horizon(self.horizon, dt), dt, dim)
             check_array_size((n_det, dim, min(self.n_realizations, width)),
                              f"the settling-detection buffer of a {system} ensemble")
-        if not self.steady_state_tol > 0:
-            raise ValueError("steady_state_tol must be positive")
+        if not 0 < self.steady_state_tol < math.inf:
+            raise ValueError("steady_state_tol must be finite and positive")
         transient_cutoff_index(0, self.transient_fraction)
         if self.init_box is not None:
             if len(self.init_box) not in STATE_DIM.values():
@@ -265,8 +265,8 @@ def detect_steady_state(traj: Trajectory, tol: float = EnsembleConfig.steady_sta
     <= tol, provided the suffix it starts holds at least 10% of the rows (and
     no fewer than two); otherwise detection is refused.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     samples = traj.samples
     rev = samples[::-1]
     hi = np.maximum.accumulate(rev, axis=0)[::-1]

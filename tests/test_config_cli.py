@@ -183,12 +183,14 @@ def test_trajectory_csv_map_header():
 
 
 def test_write_text_atomic(tmp_path):
-    target = tmp_path / "deep" / "file.txt"
+    # a new file, created once; an existing one is an error and keeps its bytes
+    target = tmp_path / "file.txt"
     write_text_atomic(target, b"payload")
     assert target.read_bytes() == b"payload"
-    assert list(target.parent.glob("*.tmp")) == []
-    write_text_atomic(target, b"replaced")
-    assert target.read_bytes() == b"replaced"
+    with pytest.raises(FileExistsError):
+        write_text_atomic(target, b"replaced")
+    assert target.read_bytes() == b"payload"
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
@@ -363,6 +365,21 @@ def test_cli_failed_staging_leaves_no_output(tmp_path, capsys, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def test_cli_renames_each_output_once(tmp_path, monkeypatch):
+    renames = []
+    replace_ = os.replace
+
+    def counting_replace(src, dst):
+        renames.append(Path(dst).name)
+        replace_(src, dst)
+
+    monkeypatch.setattr(os, "replace", counting_replace)
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, _MULTISINE_SWEEP)), "--out", str(out)]) == 0
+    assert renames == ["sweep.csv", "manifest.yaml"]
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.yaml", "sweep.csv"]
+
+
 def test_cli_seed_and_realizations_override_manifest(tmp_path):
     doc = """
 experiment: sweep
@@ -389,6 +406,16 @@ def test_cli_fig3_rejects_more_than_one_realization(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
     assert "  - fig3.n_realizations: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps_values", ["[6, 6.0000001]", "[6, 6]"], ids=["alike", "equal"])
+def test_cli_fig3_points_that_print_alike_are_a_config_error(tmp_path, capsys, eps_values):
+    # both points' files would be named fig3_sigma10_eps6.csv
+    doc = _FIG3.replace("eps_values: [6]", f"eps_values: {eps_values}").replace("horizon: 5", "horizon: 2")
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    assert "  - fig3: two points write the same file fig3_sigma10_eps6.csv" in capsys.readouterr().err
     assert not out.exists()
 
 

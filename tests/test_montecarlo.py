@@ -87,8 +87,8 @@ def test_detect_chaotic_regime_returns_none():
 
 def test_detect_tol_validation(std_params):
     traj = Trajectory(1.0, np.ones((10, 1)), 0)
-    for tol in (0.0, math.nan):
-        with pytest.raises(ValueError, match="tol must be positive"):
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
             detect_steady_state(traj, tol=tol)
 
 
@@ -582,6 +582,7 @@ def test_patched_config_rejects_fractional_tone_count():
         {"init_box": ((0.0, 1.0),) * 4},
         {"init_box": ((-math.inf, math.inf),) * 3},  # every draw would be NaN
         {"dt": math.inf},
+        {"steady_state_tol": math.inf},  # would certify every realization as settled
     ],
 )
 def test_ensemble_config_rejects_what_no_ensemble_can_use(kwargs):
