@@ -17,8 +17,8 @@ sums and the scan run in the compiled library of :mod:`chaoswpt._rk4` where it
 builds, in :func:`_block_moments` and :func:`_quiet_counts` otherwise, with
 the same bits.  Full trajectories are never stored, and a chunk is as wide as
 its subsample fits :data:`_DETECTION_BYTES`, so memory stays bounded up to
-166,666 subsample rows of the flow (16,666 time units at the 0.1 spacing) and
-250,000 map iterations; beyond that an 8-wide chunk's grows with the horizon.
+41,666 subsample rows of the flow (4,166 time units at the 0.1 spacing) and
+62,500 map iterations; beyond that an 8-wide chunk's grows with the horizon.
 
 Each realization leaves one record: its m2, m4, PAPR and settling time.  NaN
 is the only mark of what went wrong.  A realization that diverged has NaN
@@ -80,8 +80,14 @@ HENON_INIT_BOX = ((-0.5, 0.5), (-0.5, 0.5))
 #: target spacing (in time units) of the subsampled settling-detection buffer
 _DETECTION_SPACING = 0.1
 
-#: bytes one chunk's settling-detection buffer may take
-_DETECTION_BYTES = 32 * 10**6
+#: bytes one chunk's settling-detection buffer may take.  The buffer is a
+#: second copy of the subsampled orbits (of every sample on the map, whose
+#: stride is 1), and budgets from 1 to 16 MB ran a map ensemble equally fast.
+#: 8 MB is the least whole-MB budget that keeps 10,001 flow rows (full-scale
+#: fig4) 32 orbits wide; at 4 MB (16 wide) fig4 ran about 15% slower than at
+#: 32 MB.  The compiled RK4 costs about 20 ns a realization-step 8 orbits wide,
+#: where one vector's dependency chain sets the pace, and 3-4 ns from 16 up.
+_DETECTION_BYTES = 8 * 10**6
 
 
 def _detection_grid(n_steps: int, dt: float, dim: int) -> tuple[int, int, int]:

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import math
 import tracemalloc
@@ -22,7 +23,7 @@ from chaoswpt.dynamics import (
     steps_for_horizon,
     transient_cutoff_index,
 )
-from chaoswpt.errors import InvalidSweepError
+from chaoswpt.errors import DivergenceError, InvalidSweepError
 from chaoswpt.harvest import LinkBudget, coefficients, dc_from_moments
 from chaoswpt.io_utils import HARVEST_HEADER, csv_text, harvest_row
 from chaoswpt.montecarlo import (
@@ -309,7 +310,10 @@ def test_ensemble_independent_of_chunk_width(rk4_path, chunk_width, system):
 
 
 def _records(cfg, chunk, chunk_width):
-    """The per-realization (m2, m4, papr_db, conv_time) run_ensemble summarises, at chunk width ``chunk``."""
+    """The per-realization (m2, m4, papr_db, conv_time) run_ensemble summarises, at chunk width ``chunk``.
+
+    A ``chunk`` of None keeps the width the byte budget gives.
+    """
     seen = []
     aggregate = montecarlo._aggregate
 
@@ -317,7 +321,8 @@ def _records(cfg, chunk, chunk_width):
         seen.append(records)
         return aggregate(config, stable, *records)
 
-    with pytest.MonkeyPatch.context() as mp, chunk_width(chunk):
+    forced = contextlib.nullcontext() if chunk is None else chunk_width(chunk)
+    with pytest.MonkeyPatch.context() as mp, forced:
         mp.setattr(montecarlo, "_aggregate", capture)
         run_ensemble(cfg)
     return seen[0]
@@ -357,6 +362,37 @@ def test_a_realizations_record_does_not_depend_on_ensemble_size_or_chunk_width(r
         assert np.array_equal(a, b[:n], equal_nan=True), name
 
 
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("system", ["lorenz", "henon"])
+def test_each_settling_time_is_detect_steady_states_on_the_realizations_own_orbit(rk4_path, chunk_width, system,
+                                                                                   chunk):
+    # the flow's detection stride (10) divides neither its 682-row blocks (16
+    # orbits wide) nor its 1024-row ones (7 wide), so each block's subsample
+    # starts at its own offset into the block
+    if system == "lorenz":
+        cfg, stride = _mixed_cfg(system, _MOST), 10
+        dt = cfg.ensemble.dt
+
+        def orbit(point):
+            return integrate_lorenz(point, cfg.lorenz, cfg.scaling, dt, cfg.ensemble.horizon).samples
+    else:
+        cfg, stride, dt = _mixed_cfg(system, 200), 1, 1.0
+
+        def orbit(point):
+            return iterate_henon(point, cfg.henon, int(cfg.ensemble.horizon)).samples
+    conv_time = _records(cfg, chunk, chunk_width)[3]
+    box = montecarlo.initial_box(cfg)
+    expected = []
+    for point in initial_points(cfg.ensemble, box):
+        try:
+            idx = detect_steady_state(Trajectory(dt * stride, orbit(point)[::stride], 0), cfg.ensemble.steady_state_tol)
+        except DivergenceError:
+            idx = None
+        expected.append(math.nan if idx is None else idx * stride * dt)
+    assert np.isfinite(expected).any() and not np.isfinite(expected).all()
+    assert np.array_equal(conv_time, expected, equal_nan=True)
+
+
 def test_a_chunk_frees_its_detection_buffer_before_the_next_one_is_allocated(chunk_width):
     # the detection buffer dominates a long map ensemble's memory: 10,001 rows
     # of 2 x 64 doubles, 10 MB a chunk
@@ -379,9 +415,17 @@ def _traced_peak(cfg):
 
 
 def test_a_long_ensembles_detection_buffer_stays_within_its_byte_budget():
-    # 1024 map orbits over 10^4 iterations used to hold one 164 MB detection
-    # buffer; chunks of 192 keep it at 31 MB
-    assert _traced_peak(_henon_cfg(n=1024, horizon=10000.0)) < 48e6
+    # in one chunk, 1024 map orbits over 10^4 iterations would hold a 164 MB
+    # detection buffer and 5000 over 1000 one of 80 MB; chunks of 48 and 496
+    # orbits keep each under 8 MB
+    for n, horizon in ((1024, 10000.0), (5000, 1000.0)):
+        assert _traced_peak(_henon_cfg(n=n, horizon=horizon)) < 12e6, n
+
+
+def test_full_scale_fig4s_flow_chunks_stay_wide_enough_for_the_kernel():
+    # 10,001 subsample rows are full-scale fig4's 10^6 flow steps, which the
+    # budget keeps at least 32 orbits wide (see _DETECTION_BYTES)
+    assert montecarlo._detection_grid(steps_for_horizon(1000.0, 1e-3), 1e-3, 3)[2] >= 32
 
 
 @settings(max_examples=200, deadline=None)
