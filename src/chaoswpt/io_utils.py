@@ -83,6 +83,8 @@ def trajectory_csv(traj) -> bytes | memoryview:
     n, dim = samples.shape
     flow = dim == 3
     head = b"t,x,y,z\n" if flow else b"n,x,y\n"
+    # a map's index k is printed as k * 1.0, on both paths
+    dt = traj.dt if flow else 1.0
     lib = _rk4.kernel()
     if lib is not None:
         # one buffer, written once: the header, then rows of at most
@@ -90,15 +92,10 @@ def trajectory_csv(traj) -> bytes | memoryview:
         samples = np.ascontiguousarray(samples, dtype=np.float64)
         buf = np.empty(len(head) + n * (dim + 1) * _CELL_BYTES, dtype=np.uint8)
         buf[:len(head)] = np.frombuffer(head, dtype=np.uint8)
-        # a map's index k is printed as k * 1.0
-        end = len(head) + lib.format_rows(samples.ctypes.data, n, dim, traj.dt if flow else 1.0,
-                                          buf.ctypes.data + len(head))
+        end = len(head) + lib.format_rows(samples.ctypes.data, n, dim, dt, buf.ctypes.data + len(head))
         return memoryview(buf)[:end]
-    if flow:
-        row, first = b"%.17g,%.17g,%.17g,%.17g\n", np.arange(n) * traj.dt
-    else:
-        row, first = b"%d,%.17g,%.17g\n", np.arange(n)
-    table = np.column_stack((first, samples))
+    row = b",".join([b"%.17g"] * (dim + 1)) + b"\n"
+    table = np.column_stack((np.arange(n) * dt, samples))
     # one % per block of rows, over the row format repeated; the block bounds
     # how many floats are alive at once
     parts = [head]

@@ -206,48 +206,42 @@ def initial_points(cfg: EnsembleConfig, box: tuple[tuple[float, float], ...]) ->
     return bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u
 
 
-#: Philox4x64's round multipliers and key increments (Salmon et al., SC'11)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+#: Philox4x64's round multipliers of counter words 0 and 2 and its key
+#: increments (Salmon et al., SC'11), as columns that broadcast over a
+#: (2, n) pair of words, and the multipliers' 32-bit halves
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
-_MASK64 = 2**64 - 1
 _MASK32 = np.uint64(2**32 - 1)
 _SHIFT32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _MASK32, _PHILOX_M >> _SHIFT32
 
 
 def _philox_blocks(seed: int, first: int, n: int) -> np.ndarray:
     """Philox4x64-10 of the counters ``[1, 0, i, 0]``, i = first .. first + n - 1, under key ``[seed, 0]``.
 
     Returns an (n, 4) array of uint64, one output block a row, as numpy's
-    ``Philox`` computes them, for all rows at once: each round's 64 x 64 ->
-    128-bit products are assembled from 32-bit halves.
+    ``Philox`` computes them, for all rows at once. Words 0 and 2 of every
+    counter travel as one (2, n) array x and words 1 and 3 as y; a round
+    multiplies x by its two multipliers in one pass, and Random123's round,
+    ``[hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)]``,
+    reads the products' halves in reverse. The high halves are assembled
+    from 32-bit halves: with m = m_hi 2^32 + m_lo and x = x1 2^32 + x0, no
+    partial sum exceeds 2^64 - 1, as each product of halves is at most
+    2^64 - 2^33 + 1. The key wraps mod 2^64 as it advances.
     """
-    c0 = np.ones(n, dtype=np.uint64)
-    c1 = np.zeros(n, dtype=np.uint64)
-    c2 = np.arange(n, dtype=np.uint64) + np.uint64(first)
-    c3 = np.zeros(n, dtype=np.uint64)
-    k0, k1 = int(seed), 0
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack((c0, c1, c2, c3), axis=1)
-
-
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low 64 bits of the 128-bit products ``a * b``.
-
-    With a = a1 2^32 + a0 and b = b1 2^32 + b0, no partial sum below can
-    exceed 2^64 - 1: each product of halves is at most 2^64 - 2^33 + 1.
-    """
-    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b0, b1 = b & _MASK32, b >> _SHIFT32
-    low = a0 * b0
-    mid = a1 * b0 + (low >> _SHIFT32)
-    mid2 = a0 * b1 + (mid & _MASK32)
-    return a1 * b1 + (mid >> _SHIFT32) + (mid2 >> _SHIFT32), np.uint64(a) * b
+    x = np.stack((np.ones(n, dtype=np.uint64), np.arange(n, dtype=np.uint64) + np.uint64(first)))
+    y = np.zeros((2, n), dtype=np.uint64)
+    key = np.array([[seed], [0]], dtype=np.uint64)
+    for _ in range(_PHILOX_ROUNDS):
+        x0, x1 = x & _MASK32, x >> _SHIFT32
+        low = _M_LO * x0
+        mid = _M_HI * x0 + (low >> _SHIFT32)
+        mid2 = _M_LO * x1 + (mid & _MASK32)
+        hi = _M_HI * x1 + (mid >> _SHIFT32) + (mid2 >> _SHIFT32)
+        x, y = hi[::-1] ^ y ^ key, (_PHILOX_M * x)[::-1]
+        key += _PHILOX_W
+    return np.stack((x[0], y[0], x[1], y[1]), axis=1)
 
 
 def initial_box(config: SystemConfig) -> tuple[tuple[float, float], ...]:

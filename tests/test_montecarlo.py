@@ -169,27 +169,28 @@ def test_initial_points_keyed_per_realization():
     lows = np.array(LORENZ_INIT_BOX)[:, 0]
     highs = np.array(LORENZ_INIT_BOX)[:, 1]
     assert np.array_equal(big[13], gen.uniform(lows, highs))
-    # every row, at the extreme keys and for a box of width zero (fig3's point)
+    # every row, at the extreme keys and for a box of width zero (fig3's
+    # point), for one orbit (fig3's ensemble) and for 50
     point = ((2.0, 2.0), (-1.0, -1.0), (25.0, 25.0))
     for seed in (0, 7, 2**64 - 1):
         for box in (LORENZ_INIT_BOX, HENON_INIT_BOX, point):
             bounds = np.array(box)
-            pts = initial_points(EnsembleConfig(n_realizations=50, seed=seed), box)
-            for i, row in enumerate(pts):
-                gen = np.random.Generator(np.random.Philox(key=seed).jumped(i))
-                assert np.array_equal(row, gen.uniform(bounds[:, 0], bounds[:, 1])), (seed, box, i)
+            for n in (1, 50):
+                pts = initial_points(EnsembleConfig(n_realizations=n, seed=seed), box)
+                assert pts.shape == (n, len(box))
+                for i, row in enumerate(pts):
+                    gen = np.random.Generator(np.random.Philox(key=seed).jumped(i))
+                    assert np.array_equal(row, gen.uniform(bounds[:, 0], bounds[:, 1])), (seed, box, n, i)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
+@given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from((1, 4, 33)), data=st.data())
+def test_vectorised_philox_blocks_equal_jumped_streams(seed, n, data):
     # counters whose 32-bit halves carry into each other, and the last ones
-    first=st.one_of(st.integers(0, 2**64 - 4), st.integers(2**32 - 4, 2**32 + 4),
-                    st.integers(2**64 - 8, 2**64 - 4)),
-)
-def test_vectorised_philox_blocks_equal_jumped_streams(seed, first):
-    blocks = montecarlo._philox_blocks(seed, first, 4)
-    assert blocks.shape == (4, 4) and blocks.dtype == np.uint64
+    first = data.draw(st.one_of(st.integers(0, 2**64 - n), st.integers(2**32 - n, 2**32 + 4),
+                                st.integers(2**64 - n - 4, 2**64 - n)), label="first")
+    blocks = montecarlo._philox_blocks(seed, first, n)
+    assert blocks.shape == (n, 4) and blocks.dtype == np.uint64
     for j, block in enumerate(blocks):
         expected = np.random.Philox(key=seed).jumped(first + j).random_raw(4)
         assert np.array_equal(block, expected), j
