@@ -13,7 +13,7 @@ values outside it or where the compiler has no 128-bit integer.
 
 The package ships the C source, not a binary.  :func:`kernel` compiles it with
 the system's ``cc`` into ``$XDG_CACHE_HOME/chaoswpt`` (``~/.cache/chaoswpt``
-when unset), or into a per-user directory under the system temp dir when that
+when unset or relative), or a per-user directory under the temp dir when that
 one is unusable.  The library's name carries a hash of the source, the flags
 and the machine, so a changed source builds afresh; it is written under a
 temporary name and renamed into place, so processes building at once do not
@@ -102,8 +102,8 @@ def _cache_dir() -> str:
     A directory another user owns or can write to is skipped: a library
     planted there would run in this process.
     """
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    candidates = [os.path.join(base, "chaoswpt"),
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    candidates = [os.path.join(xdg if os.path.isabs(xdg) else os.path.expanduser("~/.cache"), "chaoswpt"),
                   os.path.join(tempfile.gettempdir(), f"chaoswpt-{os.getuid()}")]
     for path in candidates:
         try:

@@ -45,11 +45,9 @@ DEFAULT_TRANSIENT_FRACTION = 0.5
 #: state components of each source
 STATE_DIM = {"lorenz": 3, "henon": 2}
 
-#: bytes of samples one block of an ensemble holds; sets the block length
+#: bytes of samples every block holds, one orbit's too (10,922 flow rows), so
+#: that the Python around each block call is a small share of its steps
 _BLOCK_BYTES = 1 << 18
-#: longest block: one orbit's block stays small (24 KB for the flow), and its
-#: one step call costs a few percent of its rows' compiled steps
-_BLOCK_ROWS_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -264,9 +262,10 @@ def unscale_state(state: Sequence[float], scaling: ScalingFactors) -> np.ndarray
 def block_rows(dim: int, width: int) -> int:
     """Samples per block when ``width`` orbits of dimension ``dim`` advance together.
 
-    At least two, so that an in-place step never writes the block row it reads.
+    As many as :data:`_BLOCK_BYTES` holds at any width, but at least two, so
+    that an in-place step never writes the block row it reads.
     """
-    return max(2, min(_BLOCK_ROWS_MAX, _BLOCK_BYTES // (8 * dim * width)))
+    return max(2, _BLOCK_BYTES // (8 * dim * width))
 
 
 def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_DIVERGENCE_BOUND):

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from chaoswpt import _rk4, montecarlo
+from chaoswpt import _rk4, dynamics, montecarlo
 from chaoswpt.dynamics import LorenzParams, ScalingFactors
 from chaoswpt.harvest import LinkBudget, RectennaParams, coefficients
 
@@ -86,3 +86,12 @@ def chunk_width():
     the stride and row count of the detection grid stay the rule's.
     """
     return _forced_chunk_width
+
+
+@pytest.fixture
+def block_budget(monkeypatch):
+    """``block_budget(n)`` sizes every block by ``n`` bytes of samples for the rest of the test.
+
+    The rule stays the core's: as many rows as the bytes hold, at least two.
+    """
+    return lambda nbytes: monkeypatch.setattr(dynamics, "_BLOCK_BYTES", nbytes)

@@ -97,6 +97,12 @@ def assert_core_matches(step, oracle, state):
     assert seen == n_steps + 1
 
 
+def cap_blocks(block_budget, dim, width):
+    """Blocks of at most 1024 rows: a Python oracle then crosses a few block
+    boundaries without stepping through whole 256 KB blocks of one orbit."""
+    block_budget(min(dynamics._BLOCK_BYTES, 8 * dim * width * 1024))
+
+
 # unequal factors make every coefficient of the scaled field differ from 1
 EPS = [(1.0, 1.0, 1.0), (6.0, 6.0, 6.0), (2.0, 3.0, 5.0)]
 WIDTHS = [1, 3, 1000, 5462]
@@ -105,7 +111,8 @@ WIDTHS = [1, 3, 1000, 5462]
 # at width 5462 a block holds two rows, so the steps alternate between them
 @on_both_paths(["eps", "width"],
                [pytest.param(eps, width, id=f"eps{i}-{width}") for i, eps in enumerate(EPS) for width in WIDTHS])
-def test_lorenz_core_equals_textbook_rk4(rk4_path, eps, width):
+def test_lorenz_core_equals_textbook_rk4(rk4_path, block_budget, eps, width):
+    cap_blocks(block_budget, 3, width)
     scaling = ScalingFactors(*eps)
     assert_core_matches(
         lorenz_step(CHAOTIC, scaling),
@@ -116,7 +123,8 @@ def test_lorenz_core_equals_textbook_rk4(rk4_path, eps, width):
 
 # at width 5462 a block holds two rows
 @on_both_paths(["width"], [pytest.param(width, id=str(width)) for width in WIDTHS])
-def test_henon_core_equals_textbook_map(rk4_path, width):
+def test_henon_core_equals_textbook_map(rk4_path, block_budget, width):
+    cap_blocks(block_budget, 2, width)
     assert_core_matches(henon(HENON), lambda s: oracle_henon(s, HENON), start(2, width, None, seed=width))
 
 
@@ -200,7 +208,8 @@ def _record_start(orbit, k):
     return orbit[j - k], bound
 
 
-def test_divergence_past_the_first_block_keeps_step_and_message(rk4_path):
+def test_divergence_past_the_first_block_keeps_step_and_message(rk4_path, block_budget):
+    cap_blocks(block_budget, 3, 1)
     k = block_rows(3, 1) + 3
     orbit = _orbit(lambda s: oracle_rk4(s, DT, CHAOTIC, ScalingFactors()), (1.0, 1.0, 20.0), 20 * k)
     s0, b = _record_start(orbit, k)
@@ -209,6 +218,7 @@ def test_divergence_past_the_first_block_keeps_step_and_message(rk4_path):
     assert exc.value.step == k
     assert str(exc.value) == f"state magnitude exceeded {b:g} at t={k * DT:g}"
 
+    cap_blocks(block_budget, 2, 1)
     k = block_rows(2, 1) + 3
     orbit = _orbit(lambda s: oracle_henon(s, HENON), (0.1, 0.1), 50 * k)
     s0, b = _record_start(orbit, k)
@@ -219,11 +229,12 @@ def test_divergence_past_the_first_block_keeps_step_and_message(rk4_path):
 
 
 @pytest.mark.parametrize("width", [1, 3, 1000])
-def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, width):
+def test_lorenz_orbits_die_from_their_first_bad_sample(rk4_path, block_budget, width):
     # every column starts on one oracle orbit, k steps before a sample that
     # exceeds the bound for the first time: at step K + 3 (K rows a block),
     # mid-block, or never; the start is a transposed, strided view at every
     # width, one included
+    cap_blocks(block_budget, 3, width)
     scaling = ScalingFactors(2.0, 3.0, 5.0)
     rows = block_rows(3, width)
     n_steps = 2 * rows + 5
@@ -374,6 +385,10 @@ def test_the_compiled_library_is_called_once_per_block(kernel, monkeypatch, chun
 
     integrate_lorenz((1.0, 1.0, 20.0), CHAOTIC, dt=DT, horizon=3000 * DT)
     assert calls == {"lorenz_rows": math.ceil(3000 / block_rows(3, 1))}
+    calls.clear()
+    # one orbit's blocks hold as many bytes as an ensemble's
+    integrate_lorenz((1.0, 1.0, 20.0), CHAOTIC, dt=DT, horizon=30000 * DT)
+    assert calls == {"lorenz_rows": math.ceil(30000 / block_rows(3, 1))} == {"lorenz_rows": 3}
     calls.clear()
     iterate_henon((0.1, -0.2), HENON, n_steps=3000)
     assert calls == {"henon_rows": math.ceil(3000 / block_rows(2, 1))}

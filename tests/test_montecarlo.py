@@ -11,13 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import on_both_paths
 
-from chaoswpt import harvest, montecarlo
+from chaoswpt import dynamics, harvest, montecarlo
 
 from chaoswpt.dynamics import (
     HenonParams,
     LorenzParams,
     ScalingFactors,
     Trajectory,
+    block_rows,
     integrate_lorenz,
     iterate_henon,
     steps_for_horizon,
@@ -363,16 +364,38 @@ def test_a_realizations_record_does_not_depend_on_ensemble_size_or_chunk_width(r
         assert np.array_equal(a, b[:n], equal_nan=True), name
 
 
-@pytest.mark.parametrize("chunk", [None, 7])
+def test_no_block_budget_changes_a_bit(rk4_path, block_budget):
+    # the README promises results that do not depend on the block length: a
+    # budget of one byte steps in 2-row blocks, the default one orbit's flow
+    # in 10,922-row ones and map in 16,384-row ones, and 16 times the default
+    # runs each orbit below in one block
+    got = []
+    for nbytes in (1, dynamics._BLOCK_BYTES, 16 * dynamics._BLOCK_BYTES):
+        block_budget(nbytes)
+        flow = integrate_lorenz((1.0, 1.0, 20.0), LorenzParams(10.0, 28.0, 8.0 / 3.0), horizon=25.0).samples
+        orbit = iterate_henon((0.1, -0.2), HenonParams(1.4, 0.3), n_steps=40000).samples
+        flows, maps = (_records(_mixed_cfg(system, _MOST), None, None) for system in ("lorenz", "henon"))
+        got.append([a.tobytes() for a in (flow, orbit, *flows, *maps)])
+    # the ensembles hold settled, unsettled and diverged members
+    assert all(np.isfinite(conv_time).any() and np.isnan(conv_time).any() for conv_time in (flows[3], maps[3]))
+    assert np.isnan(maps[0]).any()
+    assert got[1] == got[0] and got[2] == got[0]
+
+
+@pytest.mark.parametrize("chunk", [None, 11])
 @pytest.mark.parametrize("system", ["lorenz", "henon"])
 def test_each_settling_time_is_detect_steady_states_on_the_realizations_own_orbit(rk4_path, chunk_width, system,
                                                                                    chunk):
-    # the flow's detection stride (10) divides neither its 682-row blocks (16
-    # orbits wide) nor its 1024-row ones (7 wide), so each block's subsample
-    # starts at its own offset into the block
+    # the flow's detection stride (10) divides none of its block lengths, 682
+    # rows (16 orbits wide), 992 (11 wide) and 2184 (5 wide), and each is
+    # shorter than the run, so each block's subsample starts at its own offset
+    # into the block
     if system == "lorenz":
         cfg, stride = _mixed_cfg(system, _MOST), 10
         dt = cfg.ensemble.dt
+        n_steps = steps_for_horizon(cfg.ensemble.horizon, dt)
+        for width in {_MOST} if chunk is None else {chunk, _MOST % chunk or chunk}:
+            assert block_rows(3, width) % stride and block_rows(3, width) < n_steps, width
 
         def orbit(point):
             return integrate_lorenz(point, cfg.lorenz, cfg.scaling, dt, cfg.ensemble.horizon).samples

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import needs_cc
 
-from chaoswpt import _rk4, montecarlo
+from chaoswpt import _rk4, dynamics, montecarlo
 from chaoswpt.cli import main
 from chaoswpt.dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
@@ -183,9 +183,13 @@ def _assert_flags_at_block_ends(libs, name, consts, calm, start, bound, width):
 @needs_cc
 @pytest.mark.parametrize("eps", [1.0, 6.0])
 @pytest.mark.parametrize("width", [1, 7, 1000, 1001, 2048])
-def test_the_vectorised_library_equals_a_scalar_build(builds, width, eps):
+def test_the_vectorised_library_equals_a_scalar_build(builds, block_budget, width, eps):
     # widths off the 4- and 8-lane vectors run the loops' scalar tails too; the
-    # shipped build runs the clone this CPU picks, the one-ISA builds every clone
+    # shipped build runs the clone this CPU picks, the one-ISA builds every clone.
+    # Map blocks of at most 1024 rows (flow ones 682): the first bad samples
+    # of the orbits at the end lie 1290 to 2798 steps into their 4000, and a
+    # whole block must fit on either side
+    block_budget(min(dynamics._BLOCK_BYTES, 8 * 2 * width * 1024))
     scalar, vectorised = builds
     libs = [scalar, *vectorised]
     scaling = ScalingFactors(eps, eps, eps)
@@ -423,6 +427,19 @@ def test_an_unusable_cache_dir_gives_way_to_the_temp_dir(fresh_process, monkeypa
         warnings.simplefilter("error", CompiledKernelWarning)
         assert _rk4.kernel() is not None
     assert len(list((fresh_process / "tmp").glob("chaoswpt-*/_rk4-*.so"))) == 1
+
+
+def test_a_relative_xdg_cache_home_is_ignored(fresh_process, monkeypatch):
+    # the XDG spec calls a relative path invalid: honouring it would build a
+    # library in every working directory a run starts from
+    home, cwd = fresh_process / "home", fresh_process / "cwd"
+    cwd.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", "cache")
+    monkeypatch.chdir(cwd)
+    path = Path(_rk4.library_path(_rk4.SOURCE.read_bytes()))
+    assert path.parent == home / ".cache" / "chaoswpt" and path.parent.is_dir()
+    assert list(cwd.iterdir()) == []
 
 
 def test_a_built_package_ships_the_kernel_source(tmp_path):
