@@ -1,7 +1,9 @@
 /* The hot loops of an ensemble: classical RK4 steps of the scaled Lorenz flow
- * and steps of the Henon map for a whole block of samples of n orbits, one
- * block's moment, peak and power sums, and a chunk's backward settling scan;
- * and the text of a trajectory, its rows printed as %.17g.
+ * and steps of the Henon map for a whole block of samples of n orbits, each
+ * call also adding every row it writes into an ensemble chunk's moment, peak
+ * and power sums and copying the kept rows into its settling subsample, and
+ * a chunk's backward settling scan; and the text of a trajectory, its rows
+ * printed as %.17g.
  *
  * Every product and sum below is one IEEE double operation in the order of
  * the numpy code it replaces (the textbook steps of chaoswpt.dynamics.rk4_step
@@ -50,8 +52,9 @@
 #define BAD(v) (!((v) <= bound) | !(-bound <= (v)))
 
 /* One RK4 step of n orbits: `in` and `out` each point at a C-contiguous
- * (3, n) row of doubles, x, y and z; they do not overlap.  Returns whether
- * any sample written is bad. */
+ * (3, n) row of doubles, x, y and z; they do not overlap.  `rates` holds dt,
+ * then the rate constants of chaoswpt.dynamics.rate_constants: sigma, r,
+ * beta, ryx, rxy, ez, rxyz.  Returns whether any sample written is bad. */
 static inline __attribute__((always_inline)) int
 lorenz_row(const double *restrict in, double *restrict out, size_t n, const double *restrict rates,
            double bound)
@@ -83,60 +86,15 @@ lorenz_row(const double *restrict in, double *restrict out, size_t n, const doub
     return bad;
 }
 
-/* `rows` RK4 steps of n orbits into `out`, a C-contiguous (rows, 3, n) block
- * of doubles: row 0 is the step of `src`, a (3, n) row, and row k the step of
- * row k - 1.  `src` may be the block's last row, which only the last step
- * writes.  `rates` holds dt, then the rate constants of
- * chaoswpt.dynamics.rate_constants: sigma, r, beta, ryx, rxy, ez, rxyz.
- * Returns whether any sample written is beyond `bound` or not finite. */
-SIMD_CLONES
-int chaoswpt_lorenz_rk4_rows(const double *src, double *out, size_t rows, size_t n,
-                             const double *restrict rates, double bound)
-{
-    int bad = 0;
-    for (size_t k = 0; k < rows; k++, src = out, out += 3 * n)
-        bad |= lorenz_row(src, out, n, rates, bound);
-    return bad;
-}
-
-/* `x` points at the first component of `rows` samples of n orbits, one
- * sample row every `stride` doubles.  `acc` is a C-contiguous (4, n) array:
- * the sums s2, s4 and psum and the peak pmax.  From row c on, x^2 is added
- * into s2 and x^2 * x^2 into s4; from row p on, x^2 is added into psum and
- * raises pmax.  The rows are added in order, as a per-step `total += row`
- * adds them.  The samples hold no NaN, so the peak is order-free. */
-SIMD_CLONES
-void chaoswpt_block_moments(const double *restrict x, size_t rows, size_t stride, size_t n,
-                            size_t c, size_t p, double *restrict acc)
-{
-    double *restrict s2 = acc, *restrict s4 = acc + n, *restrict psum = acc + 2 * n,
-           *restrict pmax = acc + 3 * n;
-    for (size_t i = c < p ? c : p; i < rows; i++) {
-        const double *restrict row = x + i * stride;
-        if (i >= c) {
-            for (size_t j = 0; j < n; j++) {
-                const double v = row[j] * row[j];
-                s2[j] = s2[j] + v;
-                s4[j] = s4[j] + v * v;
-            }
-        }
-        if (i >= p) {
-            for (size_t j = 0; j < n; j++) {
-                const double v = row[j] * row[j];
-                psum[j] = psum[j] + v;
-                pmax[j] = v > pmax[j] ? v : pmax[j];
-            }
-        }
-    }
-}
-
 /* One step of the map for n orbits: `in` and `out` each point at a
- * C-contiguous (2, n) row of doubles, x and y; they do not overlap.  Returns
- * whether any sample written is bad. */
+ * C-contiguous (2, n) row of doubles, x and y; they do not overlap.
+ * `params` holds gamma and delta.  Returns whether any sample written is
+ * bad. */
 static inline __attribute__((always_inline)) int
-henon_row(const double *restrict in, double *restrict out, size_t n, double gamma, double delta,
+henon_row(const double *restrict in, double *restrict out, size_t n, const double *restrict params,
           double bound)
 {
+    const double gamma = params[0], delta = params[1];
     int bad = 0;
     for (size_t i = 0; i < n; i++) {
         const double x = in[i], y = in[n + i];
@@ -148,18 +106,93 @@ henon_row(const double *restrict in, double *restrict out, size_t n, double gamm
     return bad;
 }
 
-/* `rows` steps of the map for n orbits into `out`, a C-contiguous
- * (rows, 2, n) block, from `src` as chaoswpt_lorenz_rk4_rows steps the flow.
- * `params` holds gamma and delta. */
+/* A chunk's tally, which every block call of an ensemble adds its samples
+ * into, as chaoswpt.montecarlo packs it once per chunk.  `acc` is a
+ * C-contiguous (4, n) array of the sums s2, s4 and psum and the peak pmax.
+ * Sample s goes into s2 and s4 from s = cutoff on, into psum and pmax from
+ * s = papr on, and every stride-th sample, its whole (dim, n) row, into row
+ * s / stride of `det`, the chunk's settling subsample. */
+struct tally {
+    size_t cutoff, papr, stride;
+    double *acc, *det;
+};
+
+/* Adds the first component x of a sample row of n orbits into `acc`: its
+ * square v into s2 and v * v into s4 where `moments`, v into psum and the
+ * peak into pmax where `power`.  The rows are added in step order, as a
+ * per-step `total += row` adds them.  Inlined with constant flags, the tests
+ * leave the orbit loop.  An orbit that left the bound may add inf or NaN;
+ * its sums are discarded, so the peak of the rest is order-free. */
+static inline __attribute__((always_inline)) void
+add_row(const double *restrict x, size_t n, int moments, int power, double *restrict acc)
+{
+    for (size_t i = 0; i < n; i++) {
+        const double v = x[i] * x[i];
+        if (moments) {
+            acc[i] = acc[i] + v;
+            acc[n + i] = acc[n + i] + v * v;
+        }
+        if (power) {
+            acc[2 * n + i] = acc[2 * n + i] + v;
+            acc[3 * n + i] = v > acc[3 * n + i] ? v : acc[3 * n + i];
+        }
+    }
+}
+
+/* `rows` steps of n orbits of the system of dimension `dim` (3 the flow, 2
+ * the map; a constant dim picks the step when inlined) into `out`, a
+ * C-contiguous (rows, dim, n) block of doubles: row 0 is the step of `src`,
+ * a (dim, n) row, and row k the step of row k - 1.  `src` may be the block's
+ * last row, which only the last step writes.  Row k is sample k0 + k, which
+ * goes into the tally `t` right after its step, while it is in cache; a null
+ * `t` (one orbit) tallies nothing.  Each pair of windows the row is in has
+ * an add_row loop of its own, so that no window test sits in an orbit loop.
+ * Returns whether any sample written is beyond `bound` or not finite. */
+static inline __attribute__((always_inline)) int
+tallied_rows(size_t dim, const double *src, double *out, size_t rows, size_t n,
+             const double *restrict consts, double bound, size_t k0, const struct tally *t)
+{
+    /* with no tally, no sample is in a window and none is kept */
+    const size_t cutoff = t ? t->cutoff : SIZE_MAX, papr = t ? t->papr : SIZE_MAX;
+    double *restrict acc = t ? t->acc : NULL;
+    /* rows until the next kept sample, and the subsample row it goes to */
+    size_t wait = t ? (t->stride - k0 % t->stride) % t->stride : SIZE_MAX;
+    double *det = t ? t->det + (k0 + wait) / t->stride * dim * n : NULL;
+    int bad = 0;
+    for (size_t k = 0; k < rows; k++, src = out, out += dim * n) {
+        bad |= dim == 3 ? lorenz_row(src, out, n, consts, bound) : henon_row(src, out, n, consts, bound);
+        const int moments = k0 + k >= cutoff, power = k0 + k >= papr;
+        if (moments && power)
+            add_row(out, n, 1, 1, acc);
+        else if (moments)
+            add_row(out, n, 1, 0, acc);
+        else if (power)
+            add_row(out, n, 0, 1, acc);
+        if (wait-- == 0) {
+            memcpy(det, out, dim * n * sizeof *out);
+            det += dim * n;
+            wait = t->stride - 1;
+        }
+    }
+    return bad;
+}
+
+/* `rows` RK4 steps of the scaled Lorenz flow for n orbits into `out`, a
+ * (rows, 3, n) block, as tallied_rows says; `rates` as lorenz_row takes it. */
+SIMD_CLONES
+int chaoswpt_lorenz_rk4_rows(const double *src, double *out, size_t rows, size_t n,
+                             const double *restrict rates, double bound, size_t k0, const struct tally *t)
+{
+    return tallied_rows(3, src, out, rows, n, rates, bound, k0, t);
+}
+
+/* `rows` steps of the Henon map for n orbits into `out`, a (rows, 2, n)
+ * block, as tallied_rows says; `params` holds gamma and delta. */
 SIMD_CLONES
 int chaoswpt_henon_rows(const double *src, double *out, size_t rows, size_t n,
-                        const double *restrict params, double bound)
+                        const double *restrict params, double bound, size_t k0, const struct tally *t)
 {
-    const double gamma = params[0], delta = params[1];
-    int bad = 0;
-    for (size_t k = 0; k < rows; k++, src = out, out += 2 * n)
-        bad |= henon_row(src, out, n, gamma, delta, bound);
-    return bad;
+    return tallied_rows(2, src, out, rows, n, params, bound, k0, t);
 }
 
 /* One row of the settling scan: fold row `x` of a (dim, n) sample into the

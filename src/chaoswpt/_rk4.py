@@ -2,10 +2,11 @@
 
 ``_rk4.c`` holds the Lorenz RK4 steps and the Henon map steps of a whole
 block of samples, each of which also flags whether any sample it wrote is
-beyond the divergence bound or not finite, an ensemble block's moment, peak
-and power sums and a chunk's backward settling scan.  Each does its
-arithmetic in the operation order of the numpy code it replaces, so every
-path agrees bit for bit.  Its loops run across orbits at SIMD width; on
+beyond the divergence bound or not finite and, for an ensemble, adds every
+row it writes into the chunk's moment, peak and power sums and copies the
+kept ones into its settling subsample, and a chunk's backward settling
+scan.  Each does its arithmetic in the operation order of the numpy code it
+replaces, so every path agrees bit for bit.  Its loops run across orbits at SIMD width; on
 x86-64 with glibc the loader picks the AVX-512, AVX2 or baseline clone the
 CPU runs.  It also prints a trajectory's rows in the bytes of ``b'%.17g' % v``:
 an exact 17-digit conversion in 128-bit integers, and ``snprintf`` for the
@@ -21,10 +22,11 @@ clash.  A build also removes the cached libraries of any key last modified
 over 30 days ago.  Without a compiler, or when the build or load fails,
 :func:`kernel` warns once and returns None: :func:`chaoswpt.dynamics.rk4_step`
 and :func:`chaoswpt.dynamics.henon_step` fill the block one textbook step at a
-time, single orbits (trajectories, fig3 points) included, and
-:func:`chaoswpt.montecarlo.run_ensemble` adds the sums with ``_block_moments``
-and scans with ``_quiet_counts``, and :func:`chaoswpt.io_utils.trajectory_csv`
-prints the same bytes with ``%``, with the same results.
+time, single orbits (trajectories, fig3 points) included, and add an
+ensemble's block with ``chaoswpt.montecarlo._block_moments`` and a strided
+copy, :func:`chaoswpt.montecarlo.run_ensemble` scans with ``_quiet_counts``,
+and :func:`chaoswpt.io_utils.trajectory_csv` prints the same bytes with ``%``,
+with the same results.
 """
 
 from __future__ import annotations
@@ -53,13 +55,11 @@ _STALE_DAYS = 30
 
 
 class Kernel(NamedTuple):
-    """The library's functions, as ctypes functions: four ensemble loops and the trajectory text."""
+    """The library's functions, as ctypes functions: three ensemble loops and the trajectory text."""
 
-    #: ``chaoswpt_lorenz_rk4_rows(src, out, rows, n, rates, bound)``, returns the bad-sample flag
+    #: ``chaoswpt_lorenz_rk4_rows(src, out, rows, n, rates, bound, k0, tally)``, returns the bad-sample flag
     lorenz_rows: Callable[..., int]
-    #: ``chaoswpt_block_moments(x, rows, stride, n, c, p, acc)``
-    moments: Callable[..., None]
-    #: ``chaoswpt_henon_rows(src, out, rows, n, params, bound)``, returns the bad-sample flag
+    #: ``chaoswpt_henon_rows(src, out, rows, n, params, bound, k0, tally)``, returns the bad-sample flag
     henon_rows: Callable[..., int]
     #: ``chaoswpt_quiet_rows(det, rows, dim, n, tol, work, count)``
     quiet: Callable[..., None]
@@ -164,14 +164,13 @@ def _load(path: str) -> Kernel:
     """Every function of the library at ``path``; AttributeError when one is missing."""
     lib = ctypes.CDLL(path)
     pointer, size = ctypes.c_void_p, ctypes.c_size_t
-    found = Kernel(lib.chaoswpt_lorenz_rk4_rows, lib.chaoswpt_block_moments, lib.chaoswpt_henon_rows,
-                   lib.chaoswpt_quiet_rows, lib.chaoswpt_format_rows)
+    found = Kernel(lib.chaoswpt_lorenz_rk4_rows, lib.chaoswpt_henon_rows, lib.chaoswpt_quiet_rows,
+                   lib.chaoswpt_format_rows)
     for rows in (found.lorenz_rows, found.henon_rows):
-        rows.argtypes = [pointer, pointer, size, size, pointer, ctypes.c_double]
+        rows.argtypes = [pointer, pointer, size, size, pointer, ctypes.c_double, size, pointer]
         rows.restype = ctypes.c_int
-    found.moments.argtypes = [pointer, size, size, size, size, size, pointer]
     found.quiet.argtypes = [pointer, size, size, size, ctypes.c_double, pointer, pointer]
-    found.moments.restype = found.quiet.restype = None
+    found.quiet.restype = None
     found.format_rows.argtypes = [pointer, size, size, ctypes.c_double, pointer]
     found.format_rows.restype = size
     return found

@@ -19,8 +19,9 @@ alike, a block of samples at a time into a preallocated buffer.  The flow and
 the map each fill a whole block in one call of a small C function
 (``_rk4.c``) that :mod:`chaoswpt._rk4` compiles on first use: it runs across
 the orbits at SIMD width, reads the system's constants through one pointer,
-and flags whether any sample it wrote is beyond the divergence bound or not
-finite.  Without a compiler each system's one textbook step, a pure function
+flags whether any sample it wrote is beyond the divergence bound or not
+finite, and adds the block into an ensemble's tally, its sums and settling
+subsample.  Without a compiler each system's one textbook step, a pure function
 from a state to the next, advances the block a row at a time, on Python
 floats when the block is one orbit wide and on the rows' arrays otherwise,
 and the block is written once.  Every path agrees bit for bit.
@@ -172,28 +173,29 @@ def lorenz_step(dt: float, consts: tuple):
     packed = np.array((dt, *consts))
     rates = (packed, packed.ctypes.data)
 
-    def step(samples, work):
-        return rk4_step(samples[:, 0], work, rates)
+    def step(samples, work, k0):
+        return rk4_step(samples[:, 0], work, rates, k0)
 
     return step
 
 
-def rk4_step(x, work, rates):
-    """Fill a block with classical Runge-Kutta steps; returns whether a sample is bad.
+def rk4_step(x, work, rates, k0):
+    """Fill a block with classical Runge-Kutta steps and tally it; returns whether a sample is bad.
 
-    ``x`` is the (m, width) view of the block's x components and ``work``
-    the buffer's entry from :func:`sample_blocks`.  Row 0 receives the step
-    of the buffer's last row, and row i the step of row i - 1.  ``rates``
-    holds dt and the rate constants as :func:`lorenz_step` packs them: an
-    array of doubles and its address.  The compiled kernel fills the block in
+    ``x`` is the (m, width) view of the block's x components, ``work`` the
+    buffer's entry from :func:`sample_blocks` and ``k0`` the block's first
+    sample.  Row 0 receives the step of the buffer's last row, and row i the
+    step of row i - 1.  ``rates`` holds dt and the rate constants as
+    :func:`lorenz_step` packs them: an array of doubles and its address.
+    The compiled kernel fills the block and adds it into ``work``'s tally in
     one call; without it :func:`_textbook_rows` does, with the textbook step
     on those doubles.  Returns whether any sample written is beyond
     ``work``'s bound or not finite.
     """
     kernel = _rk4.kernel()
     if kernel is not None:
-        _, src, out, bound = work
-        return kernel.lorenz_rows(src, out, *x.shape, rates[1], bound)
+        _, src, out, bound, tally = work
+        return kernel.lorenz_rows(src, out, *x.shape, rates[1], bound, k0, tally and tally[1])
     dt, *consts = rates[0].tolist()
     h = 0.5 * dt
     w = dt / 6.0
@@ -208,31 +210,34 @@ def rk4_step(x, work, rates):
                 y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
                 z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z))
 
-    return _textbook_rows(advance, x.shape[0], work)
+    return _textbook_rows(advance, x.shape[0], work, k0)
 
 
-def _textbook_rows(advance, m, work):
-    """Without the compiled kernel, fill a block's m rows one textbook step at a time.
+def _textbook_rows(advance, m, work, k0):
+    """Without the compiled kernel, fill a block's m rows one textbook step at a time, and tally them.
 
-    ``advance(s)`` is a system's pure step, the state after ``s``, and
-    ``work`` the buffer's entry from :func:`sample_blocks`.  Row i receives
-    ``advance`` of row i - 1, row 0 that of the buffer's last row.  One orbit
-    steps on Python floats, where a numpy call costs as much as ~30 float
-    operations, wider blocks on the rows' arrays, and the block is written
-    once.  An orbit that leaves the bound overflows until the block ends,
-    without numpy warnings.  Returns whether any sample is beyond the bound
-    or not finite.
+    ``advance(s)`` is a system's pure step, the state after ``s``, ``work``
+    the buffer's entry from :func:`sample_blocks` and ``k0`` the block's
+    first sample.  Row i receives ``advance`` of row i - 1, row 0 that of the
+    buffer's last row.  One orbit steps on Python floats, where a numpy call
+    costs as much as ~30 float operations, wider blocks on the rows' arrays,
+    and the block is written once, then added into ``work``'s tally.  An
+    orbit that leaves the bound overflows until the block ends, into the
+    tally too, without numpy warnings.  Returns whether any sample is beyond
+    the bound or not finite.
     """
-    buffer, _, _, bound = work
+    buffer, _, _, bound, tally = work
     s = buffer[-1]
     s = s[:, 0].tolist() if s.shape[1] == 1 else tuple(s)
     rows = []
+    samples = buffer[:m]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(m):
             s = advance(s)
             rows.extend(s)
-    samples = buffer[:m]
-    samples.reshape((len(rows),) + np.shape(s[0]))[...] = rows
+        samples.reshape((len(rows),) + np.shape(s[0]))[...] = rows
+        if tally:
+            tally[2](samples, k0)
     # NaN fails both comparisons
     return not (samples.max() <= bound and -bound <= samples.min())
 
@@ -268,17 +273,25 @@ def block_rows(dim: int, width: int) -> int:
     return max(2, _BLOCK_BYTES // (8 * dim * width))
 
 
-def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_DIVERGENCE_BOUND):
+def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_DIVERGENCE_BOUND, tally=None):
     """Advance ``width`` orbits ``n_steps`` steps; yield their samples block by block.
 
     ``state`` is a (dim, width) array, one column per orbit.  ``step(samples,
-    work)`` fills one block, as :func:`lorenz_step` and :func:`henon_map_step`
-    build it.  ``samples`` is the block itself, the (m, dim, width) first m
-    rows of a buffer.  ``work`` holds that buffer, the address of its last
-    row, where the start and then each block's last sample lie, the buffer's
-    own address, and the bound.  ``step`` writes row 0 from the last row and
-    row i from row i - 1, and returns whether any sample written is beyond
-    the bound or not finite.
+    work, k0)`` fills one block, as :func:`lorenz_step` and
+    :func:`henon_map_step` build it.  ``samples`` is the block itself, the
+    (m, dim, width) first m rows of a buffer, and ``k0`` its first sample.
+    ``work`` holds that buffer, the address of its last row, where the start
+    and then each block's last sample lie, the buffer's own address, the
+    bound and ``tally``.  ``step`` writes row 0 from the last row and row i
+    from row i - 1, adds the block into ``tally``, and returns whether any
+    sample written is beyond the bound or not finite.
+
+    ``tally``, None for none, is where an ensemble sums and subsamples its
+    orbits, as ``chaoswpt.montecarlo._chunk_tally`` builds it: ``(packed,
+    address, add)``, an array that the compiled step reads through
+    ``address``, and ``add(samples, k0)``, which does the same in numpy.
+    Every sample, the start too, is added once, as it was written: before a
+    dead orbit's columns are zeroed.
 
     Yields ``(k0, samples, first)``.  ``samples`` has shape (m, dim, width)
     and holds the samples k0 .. k0 + m - 1; the first block is the initial
@@ -297,12 +310,15 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     # ended; the start is copied there, so the first block reads it too
     block = np.empty((min(rows, max(n_steps, 2)), dim, width))
     block[-1] = state
+    if tally:
+        with np.errstate(over="ignore"):
+            tally[2](block[-1:], 0)
     first = np.full(width, -1)
     yield 0, block[-1:], first
     # beyond the largest double only inf lies, so an infinite bound still
     # holds inf back
     bound = min(bound, sys.float_info.max)
-    work = (block, block[-1].ctypes.data, block.ctypes.data, bound)
+    work = (block, block[-1].ctypes.data, block.ctypes.data, bound, tally)
     dead = None  # the columns to zero, built only in a block the kernel flags
     k0 = 1
     while k0 <= n_steps:
@@ -310,7 +326,7 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
         samples = block[:m]
         # an orbit that leaves the bound mid-block overflows until the block
         # ends; it is zeroed below
-        if step(samples, work):
+        if step(samples, work, k0):
             # NaN fails the comparison
             bad = ~(np.abs(samples) <= bound).all(axis=1)
             np.copyto(first, k0 + bad.argmax(axis=0), where=bad.any(axis=0) & (first < 0))
@@ -390,33 +406,34 @@ def henon_map_step(params: HenonParams):
     """
     consts = henon_constants(params)
 
-    def step(samples, work):
-        return henon_step(samples.transpose(1, 0, 2), params, work, consts)
+    def step(samples, work, k0):
+        return henon_step(samples.transpose(1, 0, 2), params, work, consts, k0)
 
     return step
 
 
-def henon_step(state: Sequence[float], params: HenonParams, work=None, consts=None):
+def henon_step(state: Sequence[float], params: HenonParams, work=None, consts=None, k0=None):
     """Applications of the map.
 
     Without ``work``, the textbook step: one application to the state (x,
     y), floats or arrays alike, returned as a tuple.  With it, ``state`` is
     a block's two (m, width) component views, ``work`` the buffer's entry
-    from :func:`sample_blocks` and ``consts`` gamma and delta as
-    :func:`henon_constants` packs them.  Row 0 receives the map of the
-    buffer's last row, and row i that of row i - 1: the compiled kernel fills
-    the block in one call, and without it :func:`_textbook_rows` does with
-    the textbook step.  Returns whether any sample written is beyond
-    ``work``'s bound or not finite.
+    from :func:`sample_blocks`, ``consts`` gamma and delta as
+    :func:`henon_constants` packs them and ``k0`` the block's first sample.
+    Row 0 receives the map of the buffer's last row, and row i that of row
+    i - 1: the compiled kernel fills the block and adds it into ``work``'s
+    tally in one call, and without it :func:`_textbook_rows` does with the
+    textbook step.  Returns whether any sample written is beyond ``work``'s
+    bound or not finite.
     """
     if work is None:
         x, y = state
         return y + 1.0 - params.gamma * x * x, params.delta * x
     kernel = _rk4.kernel()
     if kernel is not None:
-        _, src, out, bound = work
-        return kernel.henon_rows(src, out, *state[0].shape, consts[1], bound)
-    return _textbook_rows(lambda s: henon_step(s, params), len(state[0]), work)
+        _, src, out, bound, tally = work
+        return kernel.henon_rows(src, out, *state[0].shape, consts[1], bound, k0, tally and tally[1])
+    return _textbook_rows(lambda s: henon_step(s, params), len(state[0]), work, k0)
 
 
 def iterate_henon(

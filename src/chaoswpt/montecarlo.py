@@ -8,15 +8,17 @@ widths or evaluation order.
 
 Realizations are integrated a chunk at a time by the time-blocked core of
 single orbits (:func:`chaoswpt.dynamics.sample_blocks`), one call per block;
-the core records each orbit's first bad step.  The bookkeeping runs once per
-block, vectorised over time: the moment, peak and power sums (added in step
-order, so the bits do not depend on the block length), and a strided,
-time-major subsample of each realization, on which one backward scan per chunk
-applies :func:`detect_steady_state`'s rule to every realization at once.  The
-sums and the scan run in the compiled library of :mod:`chaoswpt._rk4` where it
-builds, in :func:`_block_moments` and :func:`_quiet_counts` otherwise, with
-the same bits.  Full trajectories are never stored, and a chunk is as wide as
-its subsample fits :data:`_DETECTION_BYTES`, so memory stays bounded up to
+the core records each orbit's first bad step.  The same call tallies the
+block as it writes it: it adds the moment, peak and power sums (in step
+order, so the bits do not depend on the block length) and copies a strided,
+time-major subsample of each realization, on which one backward scan per
+chunk applies :func:`detect_steady_state`'s rule to every realization at
+once.  The block calls and the scan run in the compiled library of
+:mod:`chaoswpt._rk4` where it builds; otherwise the tally is
+:func:`_block_moments` and a strided copy, and the scan
+:func:`_quiet_counts`, with the same bits.  Full trajectories are never
+stored, and a chunk is as wide as its subsample fits
+:data:`_DETECTION_BYTES`, so memory stays bounded up to
 41,666 subsample rows of the flow (4,166 time units at the 0.1 spacing) and
 62,500 map iterations; beyond that an 8-wide chunk's grows with the horizon.
 
@@ -35,6 +37,7 @@ import numpy as np
 
 from . import _rk4
 from .dynamics import (
+    DEFAULT_DIVERGENCE_BOUND,
     DEFAULT_DT,
     DEFAULT_TRANSIENT_FRACTION,
     STATE_DIM,
@@ -305,9 +308,9 @@ def _quiet_counts(det: np.ndarray, tol: float) -> np.ndarray:
     The rows are scanned backwards with a running max and min per orbit; an
     orbit's suffix excursion only grows as the suffix extends back, so its
     quiet rows are the last ones, and the scan stops at the first row where
-    no orbit is quiet.  A NaN makes its orbit's span NaN, never quiet.  This
-    is the library's numpy fallback, and the reference its tests check it
-    against.
+    no orbit is quiet.  A NaN makes its orbit's span NaN, never quiet, and so
+    does inf - inf, the span of an orbit that overflowed.  This is the
+    library's numpy fallback, and the reference its tests check it against.
     """
     width = det.shape[2]
     hi = det[-1].copy()
@@ -315,14 +318,15 @@ def _quiet_counts(det: np.ndarray, tol: float) -> np.ndarray:
     span = np.empty_like(hi)
     quiet = np.empty(width, dtype=bool)
     count = np.zeros(width, dtype=np.intp)
-    for row in det[::-1]:
-        np.maximum(hi, row, out=hi)
-        np.minimum(lo, row, out=lo)
-        np.subtract(hi, lo, out=span)
-        np.less_equal(span.max(axis=0), tol, out=quiet)
-        if not quiet.any():
-            break
-        count += quiet
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for row in det[::-1]:
+            np.maximum(hi, row, out=hi)
+            np.minimum(lo, row, out=lo)
+            np.subtract(hi, lo, out=span)
+            np.less_equal(span.max(axis=0), tol, out=quiet)
+            if not quiet.any():
+                break
+            count += quiet
     return count
 
 
@@ -344,8 +348,8 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
 
         # henon_map_step's step, but calling this module's henon_step, which
         # perfbench's tracer wraps to count each block's realization-steps
-        def step(samples, work):
-            return henon_step(samples.transpose(1, 0, 2), config.henon, work, consts)
+        def step(samples, work, k0):
+            return henon_step(samples.transpose(1, 0, 2), config.henon, work, consts, k0)
 
     n_steps = steps_for_horizon(ens.horizon, dt)
     stride, n_det, chunk = _detection_grid(n_steps, dt, dim)
@@ -360,7 +364,6 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     pts = initial_points(ens, box)
     n = ens.n_realizations
     m2, m4, papr_db, conv_time = np.empty((4, n))
-    kernel = _rk4.kernel()
     # one settling-detection buffer, sized for the widest chunk, serves every
     # chunk: one freed and allocated afresh per chunk can come back from
     # malloc as new pages while the freed ones stay resident, which doubled
@@ -370,25 +373,12 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     for start in range(0, n, chunk):
         sl = slice(start, min(start + chunk, n))
         width = sl.stop - sl.start
-        # (s2, s4, psum, pmax), laid out as chaoswpt_block_moments takes them
         acc = np.zeros((4, width))
-        acc_addr = acc.ctypes.data
         det = det_buf[:n_det * dim * width].reshape(n_det, dim, width)
-
-        for k0, samples, first in sample_blocks(step, pts[sl].T, n_steps):
-            # first rows of the block inside the moment and PAPR windows
-            c = max(cutoff - k0, 0)
-            p = max(papr_start - k0, 0)
-            if kernel is not None:
-                # sample_blocks yields C-contiguous (m, dim, width) doubles
-                kernel.moments(samples.ctypes.data, samples.shape[0], dim * width, width, c, p, acc_addr)
-            else:
-                _block_moments(samples, c, p, acc)
-            # every stride-th sample, consecutive rows of det
-            j = -k0 % stride
-            kept = samples[j::stride]
-            row = (k0 + j) // stride
-            det[row:row + kept.shape[0]] = kept
+        tally = _chunk_tally(cutoff, papr_start, stride, acc, det)
+        # each block's step adds the block into acc and det
+        for _, _, first in sample_blocks(step, pts[sl].T, n_steps, DEFAULT_DIVERGENCE_BOUND, tally):
+            pass
 
         # a diverged realization's record is NaN; psum >= pmax, so a zero
         # psum gives 0/0, NaN too
@@ -404,8 +394,33 @@ def run_ensemble(config: SystemConfig) -> EnsembleResult:
     return _aggregate(config, verdict.stable, m2, m4, papr_db, conv_time)
 
 
+def _chunk_tally(cutoff: int, papr_start: int, stride: int, acc: np.ndarray, det: np.ndarray) -> tuple:
+    """A chunk's tally for :func:`chaoswpt.dynamics.sample_blocks`, packed once per chunk.
+
+    Sample k is added into ``acc``, rows (s2, s4, psum, pmax), as
+    :func:`_block_moments` says: into the moment sums from k = ``cutoff`` on
+    and into the power sums from k = ``papr_start`` on.  Every
+    ``stride``-th sample is copied into row k / ``stride`` of ``det``.  The
+    windows, the stride and the two arrays' addresses are packed into an
+    array of ``uintp``, as the compiled block steps read ``_rk4.c``'s
+    ``struct tally``; ``add(samples, k0)`` does the same in numpy for a
+    block whose first sample is k0.
+    """
+    packed = np.array((cutoff, papr_start, stride, acc.ctypes.data, det.ctypes.data), dtype=np.uintp)
+
+    def add(samples, k0):
+        _block_moments(samples, max(cutoff - k0, 0), max(papr_start - k0, 0), acc)
+        # every stride-th sample, consecutive rows of det
+        j = -k0 % stride
+        kept = samples[j::stride]
+        row = (k0 + j) // stride
+        det[row:row + kept.shape[0]] = kept
+
+    return packed, packed.ctypes.data, add
+
+
 def _block_moments(samples: np.ndarray, c: int, p: int, acc: np.ndarray) -> None:
-    """Add one block into ``acc``, rows (s2, s4, psum, pmax), as ``chaoswpt_block_moments`` does.
+    """Add one block into ``acc``, rows (s2, s4, psum, pmax), as the compiled block steps do.
 
     From row ``c`` of ``samples`` on, the first component's square is added
     into s2 and its square's square into s4; from row ``p`` on, the square is

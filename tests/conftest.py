@@ -32,7 +32,7 @@ def numpy_rk4(monkeypatch):
     """Force the fallbacks: each system's textbook step, the block written once, numpy block sums
     and trajectory text printed by ``%``.
 
-    The loader finds no compiled library, so none of its five functions runs.
+    The loader finds no compiled library, so none of its four functions runs.
     """
     monkeypatch.setattr(_rk4, "kernel", lambda: None)
 

@@ -380,7 +380,8 @@ def test_the_compiled_library_is_called_once_per_block(kernel, monkeypatch, chun
 
         return call
 
-    counting = kernel._replace(lorenz_rows=counted("lorenz_rows"), henon_rows=counted("henon_rows"))
+    # every function of the library, counted
+    counting = _rk4.Kernel(*map(counted, _rk4.Kernel._fields))
     monkeypatch.setattr(_rk4, "kernel", lambda: counting)
 
     integrate_lorenz((1.0, 1.0, 20.0), CHAOTIC, dt=DT, horizon=3000 * DT)
@@ -393,8 +394,15 @@ def test_the_compiled_library_is_called_once_per_block(kernel, monkeypatch, chun
     iterate_henon((0.1, -0.2), HENON, n_steps=3000)
     assert calls == {"henon_rows": math.ceil(3000 / block_rows(2, 1))}
     calls.clear()
-    # two chunks, 64 and 36 realizations wide
+    # two chunks, 64 and 36 realizations wide: one call per block, which
+    # also sums and subsamples it, and one settling scan per chunk
     with chunk_width(64):
         run_ensemble(SystemConfig(system="henon", henon=HenonParams(0.2, 0.1),
                                   ensemble=EnsembleConfig(n_realizations=100, horizon=1000.0, seed=3)))
-    assert calls == {"henon_rows": math.ceil(1000 / block_rows(2, 64)) + math.ceil(1000 / block_rows(2, 36))}
+    assert calls == {"henon_rows": math.ceil(1000 / block_rows(2, 64)) + math.ceil(1000 / block_rows(2, 36)),
+                     "quiet": 2}
+    calls.clear()
+    with chunk_width(40):
+        run_ensemble(SystemConfig(ensemble=EnsembleConfig(n_realizations=100, horizon=3.0, seed=3)))
+    assert calls == {"lorenz_rows": 2 * math.ceil(3000 / block_rows(3, 40)) + math.ceil(3000 / block_rows(3, 20)),
+                     "quiet": 3}

@@ -14,13 +14,18 @@ from conftest import on_both_paths
 from chaoswpt import dynamics, harvest, montecarlo
 
 from chaoswpt.dynamics import (
+    STATE_DIM,
     HenonParams,
     LorenzParams,
     ScalingFactors,
     Trajectory,
     block_rows,
+    henon_map_step,
     integrate_lorenz,
     iterate_henon,
+    lorenz_step,
+    rate_constants,
+    sample_blocks,
     steps_for_horizon,
     transient_cutoff_index,
 )
@@ -270,6 +275,68 @@ def test_ensemble_all_diverged():
     assert res.report.eta_empirical is None
     assert res.report.papr_db is None
     assert math.isnan(res.mean_convergence_time)
+
+
+#: ensembles of which some orbits overflow a few steps into their first
+#: block: flow steps of 0.12 are too long for RK4 to stay stable from some
+#: starts, and map orbits started off the attractor escape it
+_OVERFLOWING = {
+    "lorenz": SystemConfig(lorenz=LorenzParams(10.0, 28.0, 8.0 / 3.0),
+                           ensemble=EnsembleConfig(n_realizations=50, dt=0.12, horizon=20.0)),
+    "henon": SystemConfig(system="henon", henon=HenonParams(1.4, 0.3),
+                          ensemble=EnsembleConfig(n_realizations=50, horizon=150.0, seed=3,
+                                                  init_box=((-2.0, 2.0), (-1.0, 1.0)))),
+}
+
+
+@pytest.mark.parametrize("system", sorted(_OVERFLOWING))
+def test_an_orbit_that_overflows_mid_block_warns_nothing_and_records_nan(rk4_path, system):
+    # the block steps add an orbit into the sums and the settling subsample
+    # before its columns are zeroed, inf and NaN included; pytest turns any
+    # RuntimeWarning into an error
+    cfg = _OVERFLOWING[system]
+    ens = cfg.ensemble
+    if system == "lorenz":
+        n_steps = steps_for_horizon(ens.horizon, ens.dt)
+        step = lorenz_step(ens.dt, rate_constants(cfg.lorenz, cfg.scaling))
+    else:
+        n_steps = steps_for_horizon(ens.horizon, 1.0)
+        step = henon_map_step(cfg.henon)
+    start = initial_points(ens, montecarlo.initial_box(cfg)).T.copy()
+    # each orbit's first sample that is not finite
+    for _, _, overflow in sample_blocks(step, start, n_steps, math.inf):
+        pass
+    overflowed = overflow >= 0
+    rows = block_rows(STATE_DIM[system], ens.n_realizations)
+    assert 0 < overflowed.sum() < ens.n_realizations
+    # none on a block's first or last row
+    assert np.isin((overflow[overflowed] - 1) % rows, (0, rows - 1), invert=True).all()
+
+    m2, m4, papr_db, conv_time = _records(cfg, None, None)
+    diverged = np.isnan(m2)
+    assert np.array_equal(diverged, overflowed)
+    for record in (m4, papr_db, conv_time):
+        assert np.isnan(record[diverged]).all()
+    for record in (m4, papr_db):
+        assert np.isfinite(record[~diverged]).all()
+
+
+def test_with_no_transient_the_start_is_summed_and_subsampled(rk4_path):
+    # orbits that start within 1e-5 of the map's fixed point stay within
+    # tol of it from their start, sample 0: each settles at time 0, and its
+    # m2 holds the start's square
+    gamma, delta, x, n_steps = 0.2, 0.1, HENON_FP_X, 50
+    box = ((x - 1e-5, x + 1e-5), (delta * x - 1e-5, delta * x + 1e-5))
+    cfg = _henon_cfg(n=20, horizon=float(n_steps), params=HenonParams(gamma, delta))
+    cfg = replace(cfg, ensemble=replace(cfg.ensemble, transient_fraction=0.0, init_box=box))
+    m2, _, _, conv_time = _records(cfg, None, None)
+    assert (conv_time == 0.0).all()
+    for (x, y), got in zip(initial_points(cfg.ensemble, box), m2):
+        s2 = 0.0 + x * x
+        for _ in range(n_steps):
+            x, y = y + 1.0 - gamma * x * x, delta * x
+            s2 += x * x
+        assert got == s2 / (n_steps + 1)
 
 
 @pytest.mark.parametrize("cfg", [_lorenz_cfg(n=5, horizon=0.0005), _henon_cfg(n=5, horizon=0.5)],

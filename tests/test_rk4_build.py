@@ -22,9 +22,11 @@ from chaoswpt.cli import main
 from chaoswpt.dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
     STATE_DIM,
+    HenonParams,
     LorenzParams,
     ScalingFactors,
     block_rows,
+    henon_map_step,
     lorenz_step,
     rate_constants,
     sample_blocks,
@@ -135,7 +137,8 @@ def _fill(lib, name, src, m, consts, bound):
     """The flag and the (m, dim, width) block that ``lib``'s block step ``name`` fills from ``src``."""
     src = np.ascontiguousarray(src)
     block = np.empty((m,) + src.shape)
-    flag = getattr(lib, name)(src.ctypes.data, block.ctypes.data, m, src.shape[1], consts.ctypes.data, bound)
+    flag = getattr(lib, name)(src.ctypes.data, block.ctypes.data, m, src.shape[1], consts.ctypes.data, bound,
+                              1, None)
     return flag, block
 
 
@@ -200,25 +203,27 @@ def test_the_vectorised_library_equals_a_scalar_build(builds, block_budget, widt
     # last row, where the previous block's last sample is copied
     blocks = [np.empty((rows, 3, width)) for _ in libs]
     sums = [np.zeros((4, width)) for _ in libs]
+    # windows as a 4000-step run_ensemble opens them: moments from step 2000,
+    # power from 400, and every 50th sample kept
+    n_steps, cutoff, papr_start, stride = 4000, 2000, 400, 50
+    kept = [np.zeros((1 + n_steps // stride, 3, width)) for _ in libs]
+    tallies = [montecarlo._chunk_tally(cutoff, papr_start, stride, acc, det) for acc, det in zip(sums, kept)]
     for block in blocks:
         block[-1] = start
-    # windows as a 4000-step run_ensemble opens them: moments from step 2000, power from 400
-    n_steps, cutoff, papr_start = 4000, 2000, 400
     k0 = 1
     for m in _block_sizes(n_steps, rows):
-        c, p = max(cutoff - k0, 0), max(papr_start - k0, 0)
-        for lib, block, acc in zip(libs, blocks, sums):
+        for lib, block, tally in zip(libs, blocks, tallies):
             base = block.ctypes.data
             assert lib.lorenz_rows(base + (rows - 1) * block.strides[0], base, m, width, rates.ctypes.data,
-                                   DEFAULT_DIVERGENCE_BOUND) == 0
-            lib.moments(base, m, 3 * width, width, c, p, acc.ctypes.data)
+                                   DEFAULT_DIVERGENCE_BOUND, k0, tally[1]) == 0
             block[-1] = block[m - 1]
         for block in blocks[1:]:
             assert block[:m].tobytes() == blocks[0][:m].tobytes(), k0
         k0 += m
-    assert (sums[0] > 0).all()
-    for acc in sums[1:]:
+    assert (sums[0] > 0).all() and (kept[0][1:] != 0).all()
+    for acc, det in zip(sums[1:], kept[1:]):
         assert acc.tobytes() == sums[0].tobytes()
+        assert det.tobytes() == kept[0].tobytes()
 
     # the map, chaotic at eps 1 and attracting at eps 6, every sample kept as
     # run_ensemble keeps its detection rows: each block reads the row before it
@@ -233,7 +238,7 @@ def test_the_vectorised_library_equals_a_scalar_build(builds, block_budget, widt
         for lib, orbit in zip(libs, orbits):
             base = orbit.ctypes.data
             assert lib.henon_rows(base + (k0 - 1) * row_bytes, base + k0 * row_bytes, m, width,
-                                  params.ctypes.data, DEFAULT_DIVERGENCE_BOUND) == 0
+                                  params.ctypes.data, DEFAULT_DIVERGENCE_BOUND, k0, None) == 0
         k0 += m
     assert np.isfinite(orbits[0]).all()
     for orbit in orbits[1:]:
@@ -281,27 +286,103 @@ def _block(rng, rows, dim, width):
     return samples
 
 
+def _chunk(step, start, n_steps, cutoff, papr_start, stride, fused):
+    """Every sample of one chunk as sample_blocks steps it, and its sums and settling subsample.
+
+    ``fused``: the block steps add each block into a chunk tally, as
+    run_ensemble has them do.  Otherwise the test adds each block it is
+    yielded with ``_block_moments`` and copies every stride-th sample itself:
+    the reference.
+    """
+    dim, width = start.shape
+    acc = np.zeros((4, width))
+    det = np.full((1 + n_steps // stride, dim, width), np.nan)
+    tally = montecarlo._chunk_tally(cutoff, papr_start, stride, acc, det) if fused else None
+    seen = []
+    for k0, samples, first in sample_blocks(step, start, n_steps, DEFAULT_DIVERGENCE_BOUND, tally):
+        assert (first < 0).all()
+        if not fused:
+            montecarlo._block_moments(samples, max(cutoff - k0, 0), max(papr_start - k0, 0), acc)
+            for i, row in enumerate(samples):
+                if (k0 + i) % stride == 0:
+                    det[(k0 + i) // stride] = row
+        seen.append(samples.copy())
+    return np.concatenate(seen), acc, det
+
+
+@needs_cc
+@pytest.mark.parametrize("width", [1, 7, 8, 1000, 1001, 2048])
+@pytest.mark.parametrize("system", ["lorenz", "henon"])
+def test_fused_block_steps_equal_textbook_rows_sums_and_copy(builds, block_budget, monkeypatch, system, width):
+    # 12-row blocks, the last one partial; the fused steps of the numpy path,
+    # of the scalar build and of every clone against the textbook rows, then
+    # _block_moments and a strided copy
+    rows, dim = 12, STATE_DIM[system]
+    block_budget(8 * dim * width * rows)
+    n_steps = 4 * rows + 5
+    rng = np.random.default_rng(width)
+    if system == "lorenz":
+        scaling = ScalingFactors(2.0, 3.0, 5.0)
+        step = lorenz_step(1e-3, rate_constants(LorenzParams(10.0, 28.0, 8.0 / 3.0), scaling))
+        start = rng.uniform((-15.0, -15.0, 5.0), (15.0, 15.0, 40.0), (width, 3)).T / 2.0
+    else:
+        step = henon_map_step(HenonParams(1.4, 0.3))
+        start = rng.uniform(-0.2, 0.2, (2, width))
+    # (cutoff, papr_start, stride): windows that open on the start (a transient
+    # fraction of 0), on a block's first row (1, rows + 1) or its last (rows),
+    # inside a block (rows + 6) and on the last sample, and strides that
+    # divide the 12-row block (1, 4) or do not (5, 13)
+    cases = [(0, 0, 1), (rows + 1, 1, 5), (rows + 6, rows, 4), (1, rows + 6, 13),
+             (n_steps, rows + 1, 5), (rows, n_steps, 1)]
+    scalar, vectorised = builds
+    for cutoff, papr_start, stride in cases:
+        monkeypatch.setattr(_rk4, "kernel", lambda: None)
+        expected = _chunk(step, start, n_steps, cutoff, papr_start, stride, fused=False)
+        assert not np.isnan(expected[2]).any()
+        for i, lib in enumerate([None, scalar, *vectorised]):
+            monkeypatch.setattr(_rk4, "kernel", lambda: lib)
+            got = _chunk(step, start, n_steps, cutoff, papr_start, stride, fused=True)
+            for name, a, b in zip(("samples", "acc", "det"), got, expected):
+                assert a.tobytes() == b.tobytes(), (i, name, cutoff, papr_start, stride)
+
+
 @needs_cc
 @settings(max_examples=50, deadline=None)
 @given(st.data())
-def test_compiled_block_moments_equal_the_numpy_sums(data):
-    rows = data.draw(st.integers(1, 1024), label="rows")
+def test_a_fused_row_adds_its_samples_as_the_numpy_sums_do(data):
+    # one map row whose x is written from x_in and y_in = -1 as
+    # 0 - (gamma x_in) x_in, gamma = +-1: x_in = sqrt |t| for t of every kind
+    # _block draws, so the row's samples and squares span them
     width = data.draw(st.integers(1, 2049), label="width")
-    dim = data.draw(st.sampled_from(sorted(STATE_DIM.values())), label="dim")
-    # a window that opened before the block (0), opens inside it, or opens after it
-    c = data.draw(st.integers(0, rows + 2), label="c")
-    p = data.draw(st.integers(0, rows + 2), label="p")
+    k0 = data.draw(st.integers(1, 40), label="k0")
+    # windows that opened before the row, open on it, or open after it
+    cutoff = data.draw(st.integers(0, k0 + 2), label="cutoff")
+    papr_start = data.draw(st.integers(0, k0 + 2), label="papr_start")
+    stride = data.draw(st.integers(1, 4), label="stride")
+    gamma = data.draw(st.sampled_from([1.0, -1.0]), label="gamma")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    samples = _block(rng, rows, dim, width)
+    src = np.stack((np.sqrt(np.abs(_block(rng, 1, 1, width)[0, 0])), np.full(width, -1.0)))
     start = rng.uniform(0.0, 1e3, (4, width)) * (rng.random((4, width)) < 0.8)
+    params = np.array((gamma, 0.5))
 
     kernel = _rk4.kernel()
     assert kernel is not None
     acc = start.copy()
-    kernel.moments(samples.ctypes.data, rows, dim * width, width, c, p, acc.ctypes.data)
+    det = np.zeros((1 + (k0 + 2) // stride, 2, width))
+    tally = montecarlo._chunk_tally(cutoff, papr_start, stride, acc, det)
+    fused = np.empty((1, 2, width))
+    plain = np.empty((1, 2, width))
+    for out, address in ((fused, tally[1]), (plain, None)):
+        kernel.henon_rows(src.ctypes.data, out.ctypes.data, 1, width, params.ctypes.data, _MAX, k0, address)
+    assert fused.tobytes() == plain.tobytes()
+
     expected = start.copy()
-    montecarlo._block_moments(samples, c, p, expected)
+    montecarlo._block_moments(plain, max(cutoff - k0, 0), max(papr_start - k0, 0), expected)
     assert acc.tobytes() == expected.tobytes()
+    kept = np.zeros_like(det)
+    if k0 % stride == 0:
+        kept[k0 // stride] = plain[0]
+    assert det.tobytes() == kept.tobytes()
 
 
 @needs_cc
@@ -334,8 +415,7 @@ def test_compiled_settling_scan_equals_the_numpy_scan(data):
     count = np.full(width, -1, dtype=np.intp)
     work = np.empty((2, dim, width))
     kernel.quiet(det.ctypes.data, rows, dim, width, scan_tol, work.ctypes.data, count.ctypes.data)
-    with np.errstate(invalid="ignore"):  # inf - inf
-        expected = montecarlo._quiet_counts(det, scan_tol)
+    expected = montecarlo._quiet_counts(det, scan_tol)
     assert np.array_equal(count, expected)
 
 
