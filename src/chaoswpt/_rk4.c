@@ -109,22 +109,23 @@ henon_row(const double *restrict in, double *restrict out, size_t n, const doubl
 /* A chunk's tally, which every block call of an ensemble adds its samples
  * into, as chaoswpt.montecarlo packs it once per chunk.  `acc` is a
  * C-contiguous (4, n) array of the sums s2, s4 and psum and the peak pmax.
- * Sample s goes into s2 and s4 from s = cutoff on, into psum and pmax from
- * s = papr on, and every stride-th sample, its whole (dim, n) row, into row
- * s / stride of `det`, the chunk's settling subsample. */
+ * Sample s goes into psum and pmax from s = papr on, into s2 and s4 as well
+ * from s = cutoff on, and every stride-th sample, its whole (dim, n) row,
+ * into row s / stride of `det`, the chunk's settling subsample.  The power
+ * window opens first: papr <= cutoff. */
 struct tally {
     size_t cutoff, papr, stride;
     double *acc, *det;
 };
 
 /* Adds the first component x of a sample row of n orbits into `acc`: its
- * square v into s2 and v * v into s4 where `moments`, v into psum and the
- * peak into pmax where `power`.  The rows are added in step order, as a
- * per-step `total += row` adds them.  Inlined with constant flags, the tests
- * leave the orbit loop.  An orbit that left the bound may add inf or NaN;
- * its sums are discarded, so the peak of the rest is order-free. */
+ * square v into psum and the peak into pmax, and where `moments` v into s2
+ * and v * v into s4.  The rows are added in step order, as a per-step
+ * `total += row` adds them.  Inlined with a constant flag, the test leaves
+ * the orbit loop.  An orbit that left the bound may add inf or NaN; its
+ * sums are discarded, so the peak of the rest is order-free. */
 static inline __attribute__((always_inline)) void
-add_row(const double *restrict x, size_t n, int moments, int power, double *restrict acc)
+add_row(const double *restrict x, size_t n, int moments, double *restrict acc)
 {
     for (size_t i = 0; i < n; i++) {
         const double v = x[i] * x[i];
@@ -132,10 +133,8 @@ add_row(const double *restrict x, size_t n, int moments, int power, double *rest
             acc[i] = acc[i] + v;
             acc[n + i] = acc[n + i] + v * v;
         }
-        if (power) {
-            acc[2 * n + i] = acc[2 * n + i] + v;
-            acc[3 * n + i] = v > acc[3 * n + i] ? v : acc[3 * n + i];
-        }
+        acc[2 * n + i] = acc[2 * n + i] + v;
+        acc[3 * n + i] = v > acc[3 * n + i] ? v : acc[3 * n + i];
     }
 }
 
@@ -145,9 +144,10 @@ add_row(const double *restrict x, size_t n, int moments, int power, double *rest
  * a (dim, n) row, and row k the step of row k - 1.  `src` may be the block's
  * last row, which only the last step writes.  Row k is sample k0 + k, which
  * goes into the tally `t` right after its step, while it is in cache; a null
- * `t` (one orbit) tallies nothing.  Each pair of windows the row is in has
- * an add_row loop of its own, so that no window test sits in an orbit loop.
- * Returns whether any sample written is beyond `bound` or not finite. */
+ * `t` (one orbit) tallies nothing.  A row in the power window alone and a
+ * row in both each have an add_row loop of their own, so that no window test
+ * sits in an orbit loop.  Returns whether any sample written is beyond
+ * `bound` or not finite. */
 static inline __attribute__((always_inline)) int
 tallied_rows(size_t dim, const double *src, double *out, size_t rows, size_t n,
              const double *restrict consts, double bound, size_t k0, const struct tally *t)
@@ -161,13 +161,10 @@ tallied_rows(size_t dim, const double *src, double *out, size_t rows, size_t n,
     int bad = 0;
     for (size_t k = 0; k < rows; k++, src = out, out += dim * n) {
         bad |= dim == 3 ? lorenz_row(src, out, n, consts, bound) : henon_row(src, out, n, consts, bound);
-        const int moments = k0 + k >= cutoff, power = k0 + k >= papr;
-        if (moments && power)
-            add_row(out, n, 1, 1, acc);
-        else if (moments)
-            add_row(out, n, 1, 0, acc);
-        else if (power)
-            add_row(out, n, 0, 1, acc);
+        if (k0 + k >= cutoff)
+            add_row(out, n, 1, acc);
+        else if (k0 + k >= papr)
+            add_row(out, n, 0, acc);
         if (wait-- == 0) {
             memcpy(det, out, dim * n * sizeof *out);
             det += dim * n;
@@ -199,8 +196,8 @@ int chaoswpt_henon_rows(const double *src, double *out, size_t rows, size_t n,
  * running max `hi` and min `lo`, and add 1 to the count of each orbit whose
  * every component now spans at most tol.  A NaN sample makes hi and lo NaN
  * for good, as np.maximum and np.minimum do, and NaN spans are never quiet.
- * Returns whether any orbit was quiet.  Inlined with a constant dim, the
- * component loop unrolls and the orbit loop vectorises. */
+ * Returns whether any orbit was quiet.  Inlined with a constant dim, 2 or 3,
+ * the component loop unrolls and the orbit loop vectorises. */
 static inline __attribute__((always_inline)) int
 quiet_row(const double *restrict x, size_t dim, size_t n, double tol, double *restrict hi,
           double *restrict lo, ptrdiff_t *restrict count)
@@ -227,7 +224,8 @@ quiet_row(const double *restrict x, size_t dim, size_t n, double tol, double *re
  * from the end: every component's running max minus min at most tol.  An
  * orbit's span only grows as the scan goes back, so once it is not quiet it
  * never is again, and the scan stops at the first row where no orbit is
- * quiet.  `work` holds 2 * dim * n doubles for the running max and min. */
+ * quiet.  `dim` is 2 (the map) or 3 (the flow): any other is read as 3.
+ * `work` holds 2 * dim * n doubles for the running max and min. */
 SIMD_CLONES
 void chaoswpt_quiet_rows(const double *restrict det, size_t rows, size_t dim, size_t n, double tol,
                          double *restrict work, ptrdiff_t *restrict count)
@@ -242,14 +240,7 @@ void chaoswpt_quiet_rows(const double *restrict det, size_t rows, size_t dim, si
         count[j] = 0;
     for (size_t r = rows; r-- > 0;) {
         const double *x = det + r * dim * n;
-        int any;
-        if (dim == 2)
-            any = quiet_row(x, 2, n, tol, hi, lo, count);
-        else if (dim == 3)
-            any = quiet_row(x, 3, n, tol, hi, lo, count);
-        else
-            any = quiet_row(x, dim, n, tol, hi, lo, count);
-        if (!any)
+        if (!(dim == 2 ? quiet_row(x, 2, n, tol, hi, lo, count) : quiet_row(x, 3, n, tol, hi, lo, count)))
             break;
     }
 }

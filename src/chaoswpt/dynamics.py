@@ -297,15 +297,19 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     and holds the samples k0 .. k0 + m - 1; the first block is the initial
     state alone.  Every block is a C-contiguous array of doubles, whatever the
     strides of ``state``.  ``first``, one (width,) integer array throughout,
-    holds each orbit's first step with a component beyond ``bound`` or not
-    finite, whatever the bound, an infinite one included, or -1 while it has
-    none.  From that sample on the orbit is dead: its columns read 0 from the
-    block where that happened, and it restarts from the origin at every
-    block boundary.  The buffer behind ``samples`` is reused, so a caller
-    must be done with one block before it asks for the next.
+    holds each orbit's first sample, the start (0) included, with a component
+    beyond ``bound`` or not finite, whatever the bound, an infinite one too,
+    or -1 while it has none.  From that sample on the orbit is dead: its
+    columns read 0 from the block where that happened, and it restarts from
+    the origin at every block boundary.  The buffer behind ``samples`` is
+    reused, so a caller must be done with one block before it asks for the
+    next.
     """
     dim, width = state.shape
     rows = block_rows(dim, width)
+    # beyond the largest double only inf lies, so an infinite bound still
+    # holds inf back
+    bound = min(bound, sys.float_info.max)
     # every block but the first reads the last row, where the previous one
     # ended; the start is copied there, so the first block reads it too
     block = np.empty((min(rows, max(n_steps, 2)), dim, width))
@@ -313,13 +317,13 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     if tally:
         with np.errstate(over="ignore"):
             tally[2](block[-1:], 0)
-    first = np.full(width, -1)
+    # the start is checked as every step is; NaN fails the comparison
+    bad = ~(np.abs(block[-1]) <= bound).all(axis=0)
+    first = np.where(bad, 0, -1)
+    block[-1][:, bad] = 0.0
+    dead = bad if bad.any() else None  # the columns to zero, built only once one is bad
     yield 0, block[-1:], first
-    # beyond the largest double only inf lies, so an infinite bound still
-    # holds inf back
-    bound = min(bound, sys.float_info.max)
     work = (block, block[-1].ctypes.data, block.ctypes.data, bound, tally)
-    dead = None  # the columns to zero, built only in a block the kernel flags
     k0 = 1
     while k0 <= n_steps:
         m = min(rows, n_steps + 1 - k0)
@@ -375,7 +379,7 @@ def integrate_lorenz(
 def _collect(step, initial, dim, n_steps, bound, diverged) -> np.ndarray:
     """Every sample of one orbit, as an (n_steps + 1, dim) array.
 
-    Raises ``diverged(k)`` for the first step k whose state leaves ``bound``.
+    Raises ``diverged(k)`` for the first step k whose state leaves ``bound``, 0 for the start.
     """
     if len(initial) != dim:
         raise ValueError(f"initial must have {dim} components, got {len(initial)}")

@@ -286,11 +286,14 @@ def detect_steady_state(traj: Trajectory, tol: float = EnsembleConfig.steady_sta
 def _first_quiet_index(det: np.ndarray, tol: float) -> np.ndarray:
     """:func:`detect_steady_state`'s index for each orbit of a chunk, -1 for None.
 
-    ``det`` is (n, dim, width), one column per orbit.  The compiled library
-    counts each orbit's quiet rows where it loads, :func:`_quiet_counts`
-    otherwise; both give the same counts.
+    ``det`` is (n, dim, width), one column per orbit of the map or the flow:
+    dim 2 or 3, else ValueError.  The compiled library counts each orbit's
+    quiet rows where it loads, :func:`_quiet_counts` otherwise; both give the
+    same counts.
     """
     n, dim, width = det.shape
+    if dim not in STATE_DIM.values():
+        raise ValueError(f"a settling scan takes 2 or 3 state components, got {dim}")
     kernel = _rk4.kernel()
     if kernel is not None:
         det = np.ascontiguousarray(det, dtype=float)
@@ -398,9 +401,10 @@ def _chunk_tally(cutoff: int, papr_start: int, stride: int, acc: np.ndarray, det
     """A chunk's tally for :func:`chaoswpt.dynamics.sample_blocks`, packed once per chunk.
 
     Sample k is added into ``acc``, rows (s2, s4, psum, pmax), as
-    :func:`_block_moments` says: into the moment sums from k = ``cutoff`` on
-    and into the power sums from k = ``papr_start`` on.  Every
-    ``stride``-th sample is copied into row k / ``stride`` of ``det``.  The
+    :func:`_block_moments` says: into the power sums from k = ``papr_start``
+    on, and into the moment sums too from k = ``cutoff`` >= ``papr_start``
+    on, the only windows the compiled block steps add.  Every ``stride``-th
+    sample is copied into row k / ``stride`` of ``det``.  The
     windows, the stride and the two arrays' addresses are packed into an
     array of ``uintp``, as the compiled block steps read ``_rk4.c``'s
     ``struct tally``; ``add(samples, k0)`` does the same in numpy for a

@@ -561,6 +561,23 @@ sweep: {parameter: n_tones, values: [1, 4]}
     assert float(first["papr_db"]) == pytest.approx(10 * math.log10(2), abs=1e-9)
 
 
+def test_cli_sweep_prices_no_start_beyond_the_bound(rk4_path, tmp_path):
+    # a horizon shorter than one map step measures the starts alone; a start
+    # beyond the divergence bound is a diverged realization, not a bounded one
+    doc = """
+experiment: sweep
+system: henon
+sweep: {parameter: gamma, values: [0.2]}
+ensemble: {n_realizations: 3, horizon: 0.5, init_box: [[2000000.0, 2000000.0], [0, 0]]}
+"""
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().strip().split("\n")
+    row = dict(zip(HARVEST_HEADER, lines[1].split(",")))
+    assert (row["eta_empirical"], row["m2_emp"], row["m4_emp"]) == ("", "", "")
+    assert float(row["eta_analytic"]) > 0
+
+
 def test_cli_fig2_small(tmp_path):
     doc = """
 experiment: fig2

@@ -346,16 +346,54 @@ def test_a_non_finite_sample_is_bad_under_an_infinite_bound(rk4_path):
         assert np.array_equal(got[:, :, c], np.array(expected)), c
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_start_beyond_the_bound_or_not_finite_is_bad_at_step_0(rk4_path):
+    # the start is checked as every step is, before anything is stepped
+    with pytest.raises(DivergenceError) as exc:
+        iterate_henon((2e6, 0.0), HenonParams(0.2, 0.1), n_steps=0)
+    assert exc.value.step == 0
+    assert str(exc.value) == "state magnitude exceeded 1e+06 at step 0"
+    with pytest.raises(DivergenceError) as exc:
+        integrate_lorenz((math.inf, 0.0, 0.0), CHAOTIC, dt=DT, horizon=4 * DT)
+    assert exc.value.step == 0
+    assert str(exc.value) == "state magnitude exceeded 1e+06 at t=0"
+    # not finite is bad whatever the bound; at the bound is good
+    with pytest.raises(DivergenceError) as exc:
+        integrate_lorenz((0.0, math.nan, 0.0), CHAOTIC, dt=DT, horizon=4 * DT, divergence_bound=math.inf)
+    assert exc.value.step == 0
+    assert iterate_henon((-2.0, 0.0), HENON, n_steps=0, divergence_bound=2.0).samples.tolist() == [[-2.0, 0.0]]
+
+    # in a chunk, a bad start's column reads 0 from the start on, and the
+    # other orbits keep the textbook bits
+    starts = [(0.1, -0.2), (2e6, 0.0), (0.0, -math.inf), (-0.3, 0.1)]
+    n_steps = block_rows(2, 4) + 3
+    got = []
+    for k0, samples, first in sample_blocks(henon(HENON), np.array(starts).T.copy(), n_steps):
+        got.append(samples.copy())
+    assert list(first) == [-1, 0, 0, -1]
+    got = np.concatenate(got)
+    assert not got[:, :, 1:3].any()
+    for c in (0, 3):
+        expected = _orbit(lambda s: oracle_henon(s, HENON), starts[c], n_steps)
+        assert np.array_equal(got[:, :, c], np.array(expected)), c
+
+
 @pytest.mark.parametrize("bound", [2.0, DEFAULT_DIVERGENCE_BOUND, sys.float_info.max])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_a_sample_at_the_bound_is_good_and_one_ulp_past_it_bad(rk4_path, bound, sign):
-    # gamma 1e-300 takes (0, v - 1) to (v, 0); v - 1 is exact for each v here
-    params = HenonParams(1e-300, 0.1)
-    traj = iterate_henon((0.0, sign * bound - 1.0), params, n_steps=1, divergence_bound=bound)
-    assert traj.samples[1, 0] == sign * bound
-    past = sign * math.nextafter(bound, math.inf)
+    # delta 2 takes (v / 2, 0) to (1 - gamma v v / 4, v), with y exact: v / 2
+    # is exact, and the largest double when v is inf.  gamma, the smallest
+    # subnormal, keeps gamma x x finite, and the start and x' within the bound
+    params = HenonParams(math.ulp(0.0), 2.0)
+
+    def halved(v):
+        return sign * min(v / 2.0, sys.float_info.max), 0.0
+
+    traj = iterate_henon(halved(bound), params, n_steps=1, divergence_bound=bound)
+    assert traj.samples[1, 1] == sign * bound
+    past = math.nextafter(bound, math.inf)
     with pytest.raises(DivergenceError) as exc:
-        iterate_henon((0.0, past - 1.0), params, n_steps=1, divergence_bound=bound)
+        iterate_henon(halved(past), params, n_steps=1, divergence_bound=bound)
     assert exc.value.step == 1
 
     # the flow's first step from here grows y past the start's magnitude

@@ -124,7 +124,7 @@ def _detection_cases():
     return [
         (_chunk(constant, settling, swinging, _orbit(n - 5, 5), _orbit(n - 4, 4), dead, edge), 1e-3),
         (_chunk(settling, edge, _orbit(n - 10, 10), edge), 0.25),
-        (_chunk(settling[:, :1], swinging[:, :1], constant[:, :1]), 1e-6),
+        (_chunk(np.stack([settling[:, 0], constant[:, 0]], axis=1), swinging, constant), 1e-6),
         (_chunk(_orbit(0, 1, 3), _orbit(0, 1, 3)), 1e-3),
         (_chunk(_orbit(0, 2, 3), _orbit(1, 1, 3), _orbit(2, 0, 3)), 1e-3),
         (_chunk(dead, np.zeros((n, 2)), swinging, dead), 1e-3),
@@ -142,6 +142,13 @@ def test_chunk_detection_matches_detect_steady_state(rk4_path, det, tol):
     for j in range(det.shape[2]):
         alone = detect_steady_state(Trajectory(1.0, det[:, :, j].copy(), 0), tol)
         assert got[j] == (-1 if alone is None else alone), j
+
+
+@pytest.mark.parametrize("dim", [1, 4])
+def test_chunk_detection_takes_the_map_or_the_flow(rk4_path, dim):
+    # the compiled scan reads each row as 2 or 3 components
+    with pytest.raises(ValueError, match=f"2 or 3 state components, got {dim}"):
+        montecarlo._first_quiet_index(np.zeros((50, dim, 3)), 1e-3)
 
 
 def test_chunk_detection_hand_values(rk4_path):
@@ -346,6 +353,32 @@ def test_an_ensemble_shorter_than_a_step_measures_its_starts(cfg):
     x = initial_points(cfg.ensemble, montecarlo.initial_box(cfg))[:, 0]
     assert res.m2_mean == float(np.mean(x * x))
     assert (res.papr_db_mean, res.fraction_converged, res.n_diverged) == (0.0, 0.0, 0)
+
+
+def test_run_ensemble_opens_the_power_window_first(monkeypatch):
+    # the compiled block steps add a sample into the moment sums only with
+    # the power sums: every chunk tally must open its power window first
+    windows = []
+    tally = montecarlo._chunk_tally
+
+    def spy(cutoff, papr_start, *args):
+        windows.append((cutoff, papr_start))
+        return tally(cutoff, papr_start, *args)
+
+    monkeypatch.setattr(montecarlo, "_chunk_tally", spy)
+    systems = [("lorenz", {"lorenz": LorenzParams(10.0, r, 8.0 / 3.0)}, 1e-3) for r in (12.0, 28.0)]
+    systems += [("henon", {"henon": HenonParams(*p)}, 1.0) for p in ((0.2, 0.1), (1.4, 0.3))]
+    for system, params, dt in systems:
+        for fraction in (0.0, 0.5, 0.99):
+            # 1, 2 and 11 samples
+            for n_steps, horizon in ((0, 0.5 * dt), (1, dt), (10, 10 * dt)):
+                assert steps_for_horizon(horizon, dt) == n_steps
+                ens = EnsembleConfig(n_realizations=3, horizon=horizon, transient_fraction=fraction)
+                windows.clear()
+                run_ensemble(SystemConfig(system=system, ensemble=ens, **params))
+                assert windows, (system, params, fraction, horizon)
+                for cutoff, papr_start in windows:
+                    assert 0 <= papr_start <= cutoff <= n_steps, (system, params, fraction, horizon)
 
 
 def _assert_identical(a, b):
