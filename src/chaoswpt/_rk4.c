@@ -6,7 +6,7 @@
  * printed as %.17g.
  *
  * Every product and sum below is one IEEE double operation in the order of
- * the numpy code it replaces (the textbook steps of chaoswpt.dynamics.rk4_step
+ * the numpy code it replaces (the textbook steps of chaoswpt.dynamics.lorenz_step
  * and henon_step, chaoswpt.montecarlo._block_moments and _quiet_counts), so
  * built without contraction (-ffp-contract=off) and without -ffast-math the
  * results equal numpy's bit for bit.  Each loop runs across orbits, which are

@@ -20,10 +20,10 @@ and the machine, so a changed source builds afresh; it is written under a
 temporary name and renamed into place, so processes building at once do not
 clash.  A build also removes the cached libraries of any key last modified
 over 30 days ago.  Without a compiler, or when the build or load fails,
-:func:`kernel` warns once and returns None: :func:`chaoswpt.dynamics.rk4_step`
-and :func:`chaoswpt.dynamics.henon_step` fill the block one textbook step at a
-time, single orbits (trajectories, fig3 points) included, and add an
-ensemble's block with ``chaoswpt.montecarlo._block_moments`` and a strided
+:func:`kernel` warns once and returns None: ``chaoswpt.dynamics._fill_block``,
+which alone chooses between the library and the fallback, fills the block
+one textbook step at a time, flow and map, single orbits (trajectories, fig3
+points) included, and adds an ensemble's block with ``chaoswpt.montecarlo._block_moments`` and a strided
 copy, :func:`chaoswpt.montecarlo.run_ensemble` scans with ``_quiet_counts``,
 and :func:`chaoswpt.io_utils.trajectory_csv` prints the same bytes with ``%``,
 with the same results.

@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -38,12 +39,52 @@ from .dynamics import (
 from .errors import ChaosWptError, ConfigError
 from .montecarlo import _SWEEPABLE, SweepSpec, SystemConfig, initial_box, patched_config
 
+#: YAML 1.2's floats with an exponent; YAML 1.1 reads them as text unless
+#: they hold a dot and a signed exponent
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
+class _Strict:
+    """Mixed into PyYAML's safe loader: a mapping that repeats a key is an error, at any depth."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # a merged mapping's keys may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:
+                continue  # unhashable: the base class reports it
+            if repeated:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark, f"found the key {key!r} twice",
+                    key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
+def _yaml_classes(loader, dumper):
+    """``loader`` and ``dumper`` subclassed to read exponent floats as numbers, and ``loader`` to be :class:`_Strict`.
+
+    The resolver comes after the int one, so ``10`` stays an int; the dumper
+    quotes a text that would read as such a float, so a manifest reads back
+    as it was written.
+    """
+    loader = type(loader.__name__, (_Strict, loader), {})
+    dumper = type(dumper.__name__, (dumper,), {})
+    for cls in (loader, dumper):
+        cls.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+0123456789."))
+    return loader, dumper
+
+
 # libyaml reads and writes the same documents several times faster than the
 # pure-Python classes, which stand in when PyYAML was built without it
 if yaml.__with_libyaml__:
-    _LOADER, _DUMPER = yaml.CSafeLoader, yaml.CSafeDumper
+    _LOADER, _DUMPER = _yaml_classes(yaml.CSafeLoader, yaml.CSafeDumper)
 else:
-    _LOADER, _DUMPER = yaml.SafeLoader, yaml.SafeDumper
+    _LOADER, _DUMPER = _yaml_classes(yaml.SafeLoader, yaml.SafeDumper)
 
 EXPERIMENTS = ("trajectory", "stability-scan", "fig2", "fig3", "fig4", "sweep")
 

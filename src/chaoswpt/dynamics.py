@@ -15,7 +15,8 @@ map x' = y + 1 - gamma*x^2, y' = delta*x.
 Integration is fixed-step classical fourth-order Runge-Kutta so that runs are
 bit-reproducible for a given (initial point, dt, horizon).  One time-blocked
 core, :func:`sample_blocks`, advances every orbit, single orbits and ensembles
-alike, a block of samples at a time into a preallocated buffer.  The flow and
+alike, a block of samples at a time into a preallocated buffer, and one
+filler, :func:`_fill_block`, writes every block after the start.  The flow and
 the map each fill a whole block in one call of a small C function
 (``_rk4.c``) that :mod:`chaoswpt._rk4` compiles on first use: it runs across
 the orbits at SIMD width, reads the system's constants through one pointer,
@@ -167,36 +168,12 @@ def lorenz_step(dt: float, consts: tuple):
     """The flow's ``step(samples, work)`` for :func:`sample_blocks`: one :func:`rk4_step` per block.
 
     dt and ``consts`` are packed here, once, into the array of doubles the
-    compiled kernel reads them from; looking its address up costs about as
-    much as a C step of a few hundred orbits, so no block does it.
+    compiled kernel reads them from, with its address, which costs about as
+    much to look up as a C step of a few hundred orbits, and the textbook
+    RK4 step on those doubles, so no block builds either.
     """
     packed = np.array((dt, *consts))
-    rates = (packed, packed.ctypes.data)
-
-    def step(samples, work, k0):
-        return rk4_step(samples[:, 0], work, rates, k0)
-
-    return step
-
-
-def rk4_step(x, work, rates, k0):
-    """Fill a block with classical Runge-Kutta steps and tally it; returns whether a sample is bad.
-
-    ``x`` is the (m, width) view of the block's x components, ``work`` the
-    buffer's entry from :func:`sample_blocks` and ``k0`` the block's first
-    sample.  Row 0 receives the step of the buffer's last row, and row i the
-    step of row i - 1.  ``rates`` holds dt and the rate constants as
-    :func:`lorenz_step` packs them: an array of doubles and its address.
-    The compiled kernel fills the block and adds it into ``work``'s tally in
-    one call; without it :func:`_textbook_rows` does, with the textbook step
-    on those doubles.  Returns whether any sample written is beyond
-    ``work``'s bound or not finite.
-    """
-    kernel = _rk4.kernel()
-    if kernel is not None:
-        _, src, out, bound, tally = work
-        return kernel.lorenz_rows(src, out, *x.shape, rates[1], bound, k0, tally and tally[1])
-    dt, *consts = rates[0].tolist()
+    dt, *consts = packed.tolist()
     h = 0.5 * dt
     w = dt / 6.0
 
@@ -210,25 +187,43 @@ def rk4_step(x, work, rates, k0):
                 y + w * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
                 z + w * (k1z + 2.0 * k2z + 2.0 * k3z + k4z))
 
-    return _textbook_rows(advance, x.shape[0], work, k0)
+    rates = (packed, packed.ctypes.data, advance)
+
+    def step(samples, work, k0):
+        return rk4_step(samples[:, 0], work, rates, k0)
+
+    return step
 
 
-def _textbook_rows(advance, m, work, k0):
-    """Without the compiled kernel, fill a block's m rows one textbook step at a time, and tally them.
+def rk4_step(x, work, rates, k0):
+    """:func:`_fill_block` with classical Runge-Kutta steps; ``x`` is the block's (m, width) x components."""
+    return _fill_block(x.shape[0], rates, work, k0)
 
-    ``advance(s)`` is a system's pure step, the state after ``s``, ``work``
-    the buffer's entry from :func:`sample_blocks` and ``k0`` the block's
-    first sample.  Row i receives ``advance`` of row i - 1, row 0 that of the
-    buffer's last row.  One orbit steps on Python floats, where a numpy call
-    costs as much as ~30 float operations, wider blocks on the rows' arrays,
-    and the block is written once, then added into ``work``'s tally.  An
-    orbit that leaves the bound overflows until the block ends, into the
-    tally too, without numpy warnings.  Returns whether any sample is beyond
-    the bound or not finite.
+
+def _fill_block(m, consts, work, k0):
+    """Fill a block's m rows, of the flow or the map as the buffer's dim says, and tally them.
+
+    ``work`` is the buffer's entry from :func:`sample_blocks` and ``k0`` the
+    block's first sample; row 0 receives the step of the buffer's last row,
+    and row i that of row i - 1.  ``consts`` is the system's (packed,
+    address, advance): its constants as an array of doubles, the array's
+    address and ``advance(s)``, its pure textbook step.  The compiled kernel
+    fills and tallies the block in one call.  Without it ``advance`` steps
+    one orbit on Python floats, where a numpy call costs as much as ~30 float
+    operations, wider blocks on the rows' arrays; the block is written once,
+    then added into the tally, an orbit that leaves the bound overflowing
+    until the block ends without numpy warnings.  Returns whether any sample
+    written is beyond ``work``'s bound or not finite.
     """
-    buffer, _, _, bound, tally = work
+    buffer, src, out, bound, tally = work
+    _, dim, width = buffer.shape
+    kernel = _rk4.kernel()
+    if kernel is not None:
+        fill = kernel.lorenz_rows if dim == STATE_DIM["lorenz"] else kernel.henon_rows
+        return fill(src, out, m, width, consts[1], bound, k0, tally and tally[1])
+    advance = consts[2]
     s = buffer[-1]
-    s = s[:, 0].tolist() if s.shape[1] == 1 else tuple(s)
+    s = s[:, 0].tolist() if width == 1 else tuple(s)
     rows = []
     samples = buffer[:m]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -238,7 +233,11 @@ def _textbook_rows(advance, m, work, k0):
         samples.reshape((len(rows),) + np.shape(s[0]))[...] = rows
         if tally:
             tally[2](samples, k0)
-    # NaN fails both comparisons
+    return _beyond(samples, bound)
+
+
+def _beyond(samples, bound) -> bool:
+    """Whether any of ``samples`` is beyond ``bound`` or not finite; NaN fails both comparisons."""
     return not (samples.max() <= bound and -bound <= samples.min())
 
 
@@ -310,27 +309,23 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
     # beyond the largest double only inf lies, so an infinite bound still
     # holds inf back
     bound = min(bound, sys.float_info.max)
-    # every block but the first reads the last row, where the previous one
-    # ended; the start is copied there, so the first block reads it too
+    # every block reads the last row, where the previous one ended; block 0,
+    # the start, lies there
     block = np.empty((min(rows, max(n_steps, 2)), dim, width))
-    block[-1] = state
+    samples = block[-1:]
+    samples[0] = state
     if tally:
         with np.errstate(over="ignore"):
-            tally[2](block[-1:], 0)
-    # the start is checked as every step is; NaN fails the comparison
-    bad = ~(np.abs(block[-1]) <= bound).all(axis=0)
-    first = np.where(bad, 0, -1)
-    block[-1][:, bad] = 0.0
-    dead = bad if bad.any() else None  # the columns to zero, built only once one is bad
-    yield 0, block[-1:], first
+            tally[2](samples, 0)
+    flagged = _beyond(samples, bound)
     work = (block, block[-1].ctypes.data, block.ctypes.data, bound, tally)
-    k0 = 1
-    while k0 <= n_steps:
-        m = min(rows, n_steps + 1 - k0)
-        samples = block[:m]
+    first = np.full(width, -1)
+    dead = None  # the columns to zero, built only once one is bad
+    k0 = 0
+    while True:
         # an orbit that leaves the bound mid-block overflows until the block
-        # ends; it is zeroed below
-        if step(samples, work, k0):
+        # ends; it is zeroed here
+        if flagged:
             # NaN fails the comparison
             bad = ~(np.abs(samples) <= bound).all(axis=1)
             np.copyto(first, k0 + bad.argmax(axis=0), where=bad.any(axis=0) & (first < 0))
@@ -338,7 +333,11 @@ def sample_blocks(step, state: np.ndarray, n_steps: int, bound: float = DEFAULT_
         if dead is not None:
             samples[:, :, dead] = 0.0
         yield k0, samples, first
-        k0 += m
+        k0 += samples.shape[0]
+        if k0 > n_steps:
+            return
+        samples = block[:min(rows, n_steps + 1 - k0)]
+        flagged = step(samples, work, k0)
 
 
 def integrate_lorenz(
@@ -393,20 +392,20 @@ def _collect(step, initial, dim, n_steps, bound, diverged) -> np.ndarray:
 
 
 def henon_constants(params: HenonParams) -> tuple:
-    """gamma and delta packed for the compiled map step: an array of doubles and its address.
+    """The map's constants for :func:`_fill_block`: gamma and delta packed, their address and the textbook step.
 
     Looking the address up costs about as much as a C step of a few hundred
     orbits, so it is done once per operating point, as :func:`lorenz_step`
     does for the flow.
     """
     packed = np.array((params.gamma, params.delta))
-    return packed, packed.ctypes.data
+    return packed, packed.ctypes.data, lambda s: henon_step(s, params)
 
 
 def henon_map_step(params: HenonParams):
     """The map's ``step(samples, work)`` for :func:`sample_blocks`: one :func:`henon_step` per block.
 
-    gamma and delta are packed once, by :func:`henon_constants`.
+    Its constants are built once, by :func:`henon_constants`.
     """
     consts = henon_constants(params)
 
@@ -421,23 +420,14 @@ def henon_step(state: Sequence[float], params: HenonParams, work=None, consts=No
 
     Without ``work``, the textbook step: one application to the state (x,
     y), floats or arrays alike, returned as a tuple.  With it, ``state`` is
-    a block's two (m, width) component views, ``work`` the buffer's entry
-    from :func:`sample_blocks`, ``consts`` gamma and delta as
-    :func:`henon_constants` packs them and ``k0`` the block's first sample.
-    Row 0 receives the map of the buffer's last row, and row i that of row
-    i - 1: the compiled kernel fills the block and adds it into ``work``'s
-    tally in one call, and without it :func:`_textbook_rows` does with the
-    textbook step.  Returns whether any sample written is beyond ``work``'s
-    bound or not finite.
+    a block's two (m, width) component views and ``consts`` the map's
+    constants as :func:`henon_constants` builds them: :func:`_fill_block`
+    fills and tallies the block and returns whether a sample is bad.
     """
     if work is None:
         x, y = state
         return y + 1.0 - params.gamma * x * x, params.delta * x
-    kernel = _rk4.kernel()
-    if kernel is not None:
-        _, src, out, bound, tally = work
-        return kernel.henon_rows(src, out, *state[0].shape, consts[1], bound, k0, tally and tally[1])
-    return _textbook_rows(lambda s: henon_step(s, params), len(state[0]), work, k0)
+    return _fill_block(len(state[0]), consts, work, k0)
 
 
 def iterate_henon(

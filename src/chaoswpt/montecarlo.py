@@ -14,8 +14,9 @@ order, so the bits do not depend on the block length) and copies a strided,
 time-major subsample of each realization, on which one backward scan per
 chunk applies :func:`detect_steady_state`'s rule to every realization at
 once.  The block calls and the scan run in the compiled library of
-:mod:`chaoswpt._rk4` where it builds; otherwise the tally is
-:func:`_block_moments` and a strided copy, and the scan
+:mod:`chaoswpt._rk4` where it builds; otherwise
+``chaoswpt.dynamics._fill_block`` steps the block by the textbook step and
+tallies it with :func:`_block_moments` and a strided copy, and the scan is
 :func:`_quiet_counts`, with the same bits.  Full trajectories are never
 stored, and a chunk is as wide as its subsample fits
 :data:`_DETECTION_BYTES`, so memory stays bounded up to

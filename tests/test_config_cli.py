@@ -810,19 +810,99 @@ ensemble: {steady_state_tol: 1.0e-7, seed: 18446744073709551615}
 """
 
 
+#: YAML 1.2's exponent floats, which YAML 1.1 reads as text, and a text
+#: that reads like one
+_EXPONENT_DOCUMENT = """\
+experiment: fig3
+out_dir: '1e3'
+trajectory: {dt: 1e-3, horizon: 1e1}
+ensemble: {init_box: [[2e6, 2E6], [.5e3, 5.e3]], steady_state_tol: 1.0e-7}
+"""
+#: the config module's YAML classes on libyaml and on pure Python
+_YAML_CLASSES = {
+    "libyaml": config._yaml_classes(yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__ else None,
+    "python": config._yaml_classes(yaml.SafeLoader, yaml.SafeDumper),
+}
+on_both_loaders = pytest.mark.parametrize("classes", [
+    pytest.param(classes, id=name, marks=pytest.mark.skipif(classes is None, reason="PyYAML was built without libyaml"))
+    for name, classes in _YAML_CLASSES.items()])
+
+
 @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
-@pytest.mark.parametrize("name", [*sorted(p.name for p in _CONFIGS.glob("*.yaml")), "edge"])
+@pytest.mark.parametrize("name", [*sorted(p.name for p in _CONFIGS.glob("*.yaml")), "edge", "exponents"])
 def test_libyaml_and_the_pure_python_classes_give_the_same_manifest(monkeypatch, name):
     # the README promises the same manifest bytes whichever classes PyYAML has
-    text = _EDGE_DOCUMENT if name == "edge" else (_CONFIGS / name).read_text(encoding="utf-8")
+    text = {"edge": _EDGE_DOCUMENT, "exponents": _EXPONENT_DOCUMENT}.get(name)
+    text = text or (_CONFIGS / name).read_text(encoding="utf-8")
     # repr tells -0.0 from 0.0
-    assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    docs = [repr(yaml.load(text, Loader=loader)) for loader, _ in _YAML_CLASSES.values()]
+    assert docs[0] == docs[1]
     manifests = []
-    for loader, dumper in ((yaml.CSafeLoader, yaml.CSafeDumper), (yaml.SafeLoader, yaml.SafeDumper)):
+    for loader, dumper in _YAML_CLASSES.values():
         monkeypatch.setattr(config, "_LOADER", loader)
         monkeypatch.setattr(config, "_DUMPER", dumper)
         manifests.append(manifest_text(validate_config(text)))
     assert manifests[0] == manifests[1]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML was built without libyaml")
+@pytest.mark.parametrize("name", sorted(p.name for p in _CONFIGS.glob("*.yaml")))
+def test_a_checked_in_configs_manifest_is_the_one_pyyamls_own_classes_write(monkeypatch, name):
+    # the exponent floats and the repeated-key check change no manifest of a
+    # document YAML 1.1 reads alike
+    text = (_CONFIGS / name).read_text(encoding="utf-8")
+    expected = manifest_text(validate_config(text))
+    monkeypatch.setattr(config, "_LOADER", yaml.CSafeLoader)
+    monkeypatch.setattr(config, "_DUMPER", yaml.CSafeDumper)
+    assert manifest_text(validate_config(text)) == expected
+
+
+@on_both_loaders
+@pytest.mark.parametrize("form,value", [
+    ("1e-3", 1e-3), ("1e1", 10.0), ("2e6", 2e6), ("1.0e5", 1e5), (".5e3", 500.0), ("5.e3", 5000.0),
+    ("-1E+2", -100.0), ("+1e400", math.inf),
+])
+def test_exponent_floats_load_as_numbers(classes, form, value):
+    got = yaml.load(f"[{form}, {{v: {form}}}, [[{form}, 0]], '{form}', 10]", Loader=classes[0])
+    assert got == [value, {"v": value}, [[value, 0]], form, 10]
+    assert type(got[0]) is float and type(got[-1]) is int
+
+
+@on_both_loaders
+def test_exponent_floats_validate_and_round_trip(monkeypatch, classes):
+    monkeypatch.setattr(config, "_LOADER", classes[0])
+    monkeypatch.setattr(config, "_DUMPER", classes[1])
+    cfg = validate_config(_EXPONENT_DOCUMENT)
+    assert (cfg.trajectory.dt, cfg.trajectory.horizon) == (1e-3, 10.0)
+    assert cfg.base.ensemble.init_box == ((2e6, 2e6), (500.0, 5000.0))
+    # the manifest quotes the text that reads like a number
+    assert cfg.out_dir == "1e3" and "out_dir: '1e3'" in manifest_text(cfg).decode()
+    assert validate_config(manifest_text(cfg)) == cfg
+    with pytest.raises(ConfigError) as exc:
+        validate_config("trajectory: {dt: 1e400}\nout_dir: 1e3")
+    assert exc.value.problems == ["out_dir: must be a string", "trajectory.dt: must be a finite number"]
+
+
+@on_both_loaders
+def test_merged_and_unhashable_keys_are_not_repeats(classes):
+    # a key a merge (<<) brings in may be overridden, as YAML merges allow
+    assert yaml.load("b: &b {x: 1, y: 2}\nm: {<<: *b, x: 3}", Loader=classes[0])["m"] == {"x": 3, "y": 2}
+    # an unhashable key is PyYAML's own error, not a TypeError
+    with pytest.raises(yaml.YAMLError, match="unhashable"):
+        yaml.load("{[1]: 1, [1]: 2}", Loader=classes[0])
+
+
+@on_both_loaders
+@pytest.mark.parametrize("doc,key", [
+    ("experiment: trajectory\nensemble: {n_realizations: 5}\nensemble: {n_realizations: 7}\n", "ensemble"),
+    ("experiment: trajectory\nensemble: {seed: 1, seed: 2}\n", "seed"),
+], ids=["top-level", "nested"])
+def test_cli_a_repeated_key_is_a_config_error(tmp_path, capsys, monkeypatch, classes, doc, key):
+    monkeypatch.setattr(config, "_LOADER", classes[0])
+    out = tmp_path / "out"
+    assert main(["run", str(_write(tmp_path, doc)), "--out", str(out)]) == 2
+    assert f"found the key {key!r} twice" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_configuration_block_matches_defaults():

@@ -12,12 +12,13 @@ import collections
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from conftest import on_both_paths
 
-from chaoswpt import _rk4, dynamics
+from chaoswpt import _rk4, dynamics, montecarlo
 from chaoswpt.dynamics import (
     DEFAULT_DIVERGENCE_BOUND,
     HenonParams,
@@ -28,6 +29,7 @@ from chaoswpt.dynamics import (
     iterate_henon,
     rate_constants,
     sample_blocks,
+    steps_for_horizon,
 )
 from chaoswpt.errors import DivergenceError
 from chaoswpt.montecarlo import EnsembleConfig, SystemConfig, run_ensemble
@@ -444,3 +446,41 @@ def test_the_compiled_library_is_called_once_per_block(kernel, monkeypatch, chun
         run_ensemble(SystemConfig(ensemble=EnsembleConfig(n_realizations=100, horizon=3.0, seed=3)))
     assert calls == {"lorenz_rows": 2 * math.ceil(3000 / block_rows(3, 40)) + math.ceil(3000 / block_rows(3, 20)),
                      "quiet": 3}
+
+
+def test_each_block_passes_one_traced_entry_point(rk4_path, monkeypatch, block_budget, chunk_width):
+    # perfbench/spans.py wraps these two names, tagging each call with its
+    # block's realization-steps, and perfbench/test_counts.py sums the tags
+    tags = collections.defaultdict(int)
+
+    def traced(name, fn, tag):
+        def call(*args, **kwargs):
+            tags[name] += tag(args)
+            return fn(*args, **kwargs)
+
+        return call
+
+    rk4 = traced("rk4_step", dynamics.rk4_step, lambda args: getattr(args[0], "size", 1))
+    monkeypatch.setattr(dynamics, "rk4_step", rk4)
+    monkeypatch.setattr(montecarlo, "rk4_step", rk4, raising=False)
+    monkeypatch.setattr(montecarlo, "henon_step",
+                        traced("henon_step", montecarlo.henon_step, lambda args: getattr(args[0][0], "size", 1)))
+    # at most 100 rows a block, so that every run below crosses blocks
+    block_budget(8 * 3 * 100)
+
+    def steps(run):
+        tags.clear()
+        run()
+        return dict(tags)
+
+    n = steps_for_horizon(2.5, DT)
+    assert steps(lambda: integrate_lorenz((1.0, 1.0, 20.0), CHAOTIC, dt=DT, horizon=2.5)) == {"rk4_step": n}
+    flow = EnsembleConfig(n_realizations=5, seed=3, dt=0.01, horizon=3.0)
+    with chunk_width(3):
+        assert steps(lambda: run_ensemble(SystemConfig(ensemble=flow))) == {"rk4_step": 5 * 300}
+        # the map never steps through rk4_step
+        henon = SystemConfig(system="henon", henon=HenonParams(0.2, 0.1), ensemble=replace(flow, horizon=700.0))
+        assert steps(lambda: run_ensemble(henon)) == {"henon_step": 5 * 700}
+    # a fig3 point: one realization
+    one = SystemConfig(lorenz=CHAOTIC, ensemble=EnsembleConfig(n_realizations=1, seed=4, horizon=2.5))
+    assert steps(lambda: run_ensemble(one)) == {"rk4_step": n}
