@@ -246,12 +246,12 @@ void chaoswpt_quiet_rows(const double *restrict det, size_t rows, size_t dim, si
 }
 
 #ifdef __SIZEOF_INT128__
-/* The 17 significant digits of a finite v with 1e-5 <= |v| < 1e16, and the
+/* The 17 significant digits of a finite v with 1e-3 <= |v| < 2^52, and the
  * decimal exponent x of the first: |v| rounds, half to even, to
  * digits * 10^(x - 16).  Exact, as in Steele and White's and Adams's printers
- * at a fixed digit count: |v| = m 2^e, and m 10^(16 - x) < 2^123 is held
- * whole, so the shift right by -e <= 69 leaves the exact remainder to round
- * on. */
+ * at a fixed digit count: |v| = m 2^e with e < 0, and m 10^q, with q in
+ * [1, 19] one table entry, is below 2^117 and held whole, so the shift right
+ * by -e <= 62 leaves the exact remainder to round on. */
 static uint64_t digits17(double v, int *x)
 {
     static const uint64_t pow10[] = {
@@ -270,12 +270,9 @@ static uint64_t digits17(double v, int *x)
     unsigned __int128 n;
     uint64_t d;
     for (;;) {
-        /* q = 16 - k lies in [1, 21]: |v| < 1e16, and 1e-5 <= |v| */
-        const int q = 16 - k;
-        n = (unsigned __int128)m * pow10[q < 19 ? q : 19];
-        if (q > 19)
-            n *= pow10[q - 19];
-        d = (uint64_t)(e < 0 ? n >> -e : n << e);
+        /* q = 16 - k lies in [1, 19]: |v| < 2^52 < 1e16, and 1e-3 <= |v| */
+        n = (unsigned __int128)m * pow10[16 - k];
+        d = (uint64_t)(n >> -e);
         if (d < pow10[16])
             k--;
         else if (d >= pow10[17])
@@ -283,15 +280,12 @@ static uint64_t digits17(double v, int *x)
         else
             break;
     }
-    if (e < 0) {
-        const unsigned __int128 rem = n & (((unsigned __int128)1 << -e) - 1),
-                                half = (unsigned __int128)1 << (-e - 1);
-        d += rem > half || (rem == half && (d & 1));
-        /* a carry to 10^17 may be out of reach at 17 digits; it costs one compare */
-        if (d == pow10[17]) {
-            d = pow10[16];
-            k++;
-        }
+    const unsigned __int128 rem = n & (((unsigned __int128)1 << -e) - 1), half = (unsigned __int128)1 << (-e - 1);
+    d += rem > half || (rem == half && (d & 1));
+    /* a carry to 10^17 may be out of reach at 17 digits; it costs one compare */
+    if (d == pow10[17]) {
+        d = pow10[16];
+        k++;
     }
     *x = k;
     return d;
@@ -305,7 +299,8 @@ static char *put_g17(char *p, double v)
 {
 #ifdef __SIZEOF_INT128__
     const double a = v < 0 ? -v : v;
-    if (a >= 1e-5 && a < 1e16) {
+    /* %.17g prints this range in fixed notation, x from -3 to 15 */
+    if (a >= 1e-3 && a < 0x1p52) {
         int x;
         uint64_t d = digits17(v, &x);
         static const char pairs[] = "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
@@ -322,20 +317,12 @@ static char *put_g17(char *p, double v)
         int nd = 17; /* the digits left once trailing zeros go */
         while (dig[nd - 1] == '0')
             nd--;
-        /* the text, at most 23 bytes, is built in t by copies of fixed
+        /* the text, at most 22 bytes, is built in t by copies of fixed
          * size, which may write past its end */
         char t[48], *s = t;
         *s = '-';
         s += v < 0;
-        if (x < -4) {
-            /* d.ddde-05: the one exponent below -4 in this range */
-            s[0] = dig[0];
-            s[1] = '.';
-            memcpy(s + 2, dig + 1, 16);
-            s += nd > 1 ? nd + 1 : 1;
-            memcpy(s, "e-05", 4);
-            s += 4;
-        } else if (x < 0) {
+        if (x < 0) {
             memcpy(s, "0.000", 5);
             memcpy(s + 1 - x, dig, 17);
             s += 1 - x + nd;

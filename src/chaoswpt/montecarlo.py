@@ -195,19 +195,29 @@ class EnsembleResult:
     mean_convergence_time: float
 
 
+#: the realizations :func:`initial_points` draws at once: a pass holds about
+#: 160 bytes of temporaries per row, so a slice holds some 10 MB however
+#: large the ensemble
+_DRAW_ROWS = 1 << 16
+
+
 def initial_points(cfg: EnsembleConfig, box: tuple[tuple[float, float], ...]) -> np.ndarray:
     """Draw one initial point per realization from independent keyed streams.
 
     Row i holds ``Generator(Philox(key=seed).jumped(i)).uniform(lo, hi)``: a
     jump adds i to the third word of the counter, and the first draw of the
     jumped stream is the Philox block of counter ``[1, 0, i, 0]``, which
-    :func:`_philox_blocks` computes for every row at once.
+    :func:`_philox_blocks` computes for ``_DRAW_ROWS`` rows at once.
     """
     bounds = np.asarray(box, dtype=float)
-    raw = _philox_blocks(cfg.seed, 0, cfg.n_realizations)[:, :bounds.shape[0]]
-    # Generator.uniform: lo + (hi - lo) * (53 random bits scaled to [0, 1))
-    u = (raw >> np.uint64(11)) * 2.0**-53
-    return bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u
+    n = cfg.n_realizations
+    points = np.empty((n, bounds.shape[0]))
+    for first in range(0, n, _DRAW_ROWS):
+        raw = _philox_blocks(cfg.seed, first, min(_DRAW_ROWS, n - first))[:, :bounds.shape[0]]
+        # Generator.uniform: lo + (hi - lo) * (53 random bits scaled to [0, 1))
+        u = (raw >> np.uint64(11)) * 2.0**-53
+        points[first:first + len(raw)] = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * u
+    return points
 
 
 #: Philox4x64's round multipliers of counter words 0 and 2 and its key

@@ -209,6 +209,35 @@ def test_vectorised_philox_blocks_equal_jumped_streams(seed, n, data):
         assert np.array_equal(block, expected), j
 
 
+def test_initial_points_drawn_in_slices_equal_one_whole_pass(monkeypatch):
+    # slices of 7 rows, the last one partial, give the bits of one pass over all 40
+    monkeypatch.setattr(montecarlo, "_DRAW_ROWS", 7)
+    for seed in (0, 7, 2**64 - 1):
+        for box in (LORENZ_INIT_BOX, HENON_INIT_BOX):
+            bounds = np.array(box)
+            raw = montecarlo._philox_blocks(seed, 0, 40)[:, :len(box)]
+            whole = bounds[:, 0] + (bounds[:, 1] - bounds[:, 0]) * ((raw >> np.uint64(11)) * 2.0**-53)
+            pts = initial_points(EnsembleConfig(n_realizations=40, seed=seed), box)
+            assert pts.tobytes() == whole.tobytes(), (seed, box)
+
+
+def test_a_large_draw_holds_one_slice_of_temporaries(monkeypatch):
+    def peak(n):
+        tracemalloc.start()
+        try:
+            initial_points(EnsembleConfig(n_realizations=n, seed=3), LORENZ_INIT_BOX)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 300_000
+    # the 7.2 MB of points and one slice's temporaries
+    assert peak(n) < 30_000_000
+    # one pass over every row holds some 160 bytes a realization
+    monkeypatch.setattr(montecarlo, "_DRAW_ROWS", n)
+    assert peak(n) > 40_000_000
+
+
 def test_initial_points_differ_across_seeds():
     a = initial_points(EnsembleConfig(n_realizations=10, seed=1), HENON_INIT_BOX)
     b = initial_points(EnsembleConfig(n_realizations=10, seed=2), HENON_INIT_BOX)

@@ -531,6 +531,65 @@ def test_a_relative_xdg_cache_home_is_ignored(fresh_process, monkeypatch):
     assert list(cwd.iterdir()) == []
 
 
+#: run in a fresh interpreter on the library at argv[1]: prints the doubles of
+#: the .npy file at argv[2] at three dts, as % prints them; steps the flow
+#: and the map at four widths in small blocks, each without and with a tally,
+#: some orbits diverging; and scans the settling subsample
+_UBSAN_CHILD = """
+import sys
+import numpy as np
+from chaoswpt import _rk4, dynamics, montecarlo
+from chaoswpt.dynamics import (DEFAULT_DIVERGENCE_BOUND, HenonParams, LorenzParams, ScalingFactors, Trajectory,
+                               henon_map_step, lorenz_step, rate_constants, sample_blocks)
+from chaoswpt.io_utils import trajectory_csv
+
+lib = _rk4._load(sys.argv[1])
+samples = np.load(sys.argv[2]).reshape(-1, 3)
+for dt in (1e-3, 1.0, 7.3):
+    _rk4.kernel = lambda: lib
+    text = bytes(trajectory_csv(Trajectory(dt, samples, 0)))
+    _rk4.kernel = lambda: None
+    assert text == trajectory_csv(Trajectory(dt, samples, 0)), dt
+_rk4.kernel = lambda: lib
+dynamics._BLOCK_BYTES = 4096
+lorenz = lorenz_step(1e-3, rate_constants(LorenzParams(10.0, 28.0, 8.0 / 3.0), ScalingFactors(2.0, 3.0, 5.0)))
+rng = np.random.default_rng(5)
+for step, dim in ((lorenz, 3), (henon_map_step(HenonParams(1.4, 0.3)), 2)):
+    for width in (1, 7, 8, 33):
+        start = rng.uniform(-0.2, 0.2, (dim, width))
+        start[:, width // 2] = 1e5
+        n_steps, stride = 300, 7
+        acc, det = np.zeros((4, width)), np.zeros((1 + n_steps // stride, dim, width))
+        for tally in (None, montecarlo._chunk_tally(100, 50, stride, acc, det)):
+            for _ in sample_blocks(step, start, n_steps, DEFAULT_DIVERGENCE_BOUND, tally):
+                pass
+        for tol in (1e-9, 1e9):
+            montecarlo._first_quiet_index(det, tol)
+"""
+
+
+@needs_cc
+def test_the_library_runs_free_of_undefined_behaviour(tmp_path):
+    # every loop, and the printer on its exact path's edges and on random bit
+    # patterns, under UBSan, which ends the child with a nonzero status at the
+    # first undefined operation
+    from test_trajectory_text import _edges
+
+    path = tmp_path / "ubsan.so"
+    try:
+        _compile(path, _rk4.SOURCE.read_bytes(), *_rk4.CFLAGS, "-fsanitize=undefined",
+                 "-fno-sanitize-recover=all")
+    except subprocess.CalledProcessError as exc:
+        pytest.skip(f"cc cannot build with -fsanitize=undefined: {exc.stderr.decode(errors='replace')}")
+    rng = np.random.default_rng(11)
+    values = np.concatenate([_edges(), rng.integers(0, 2**64, 30_000, dtype=np.uint64).view(np.float64)])
+    np.save(tmp_path / "values.npy", np.resize(values, -(-len(values) // 3) * 3))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _UBSAN_CHILD, str(path), str(tmp_path / "values.npy")],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+
+
 def test_a_built_package_ships_the_kernel_source(tmp_path):
     pytest.importorskip("setuptools")
     # build a copy, so that the build's egg-info stays out of the checkout

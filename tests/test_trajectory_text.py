@@ -41,12 +41,12 @@ def _table(values, dim):
 
 
 def _edges():
-    """Zeros, the extremes, NaN and inf, a tie, and each power of ten from 1e-8 to 1e22
-    and the fast path's range edges 1e-5 and 1e16 with their neighbours two ulp either side."""
+    """Zeros, the extremes, NaN and inf, a tie, and each power of ten from 1e-8 to 1e22,
+    the exact path's range edges 1e-3 and 2^52 and the next power of two 2^53 among them,
+    with their neighbours two ulp either side."""
     values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e+308, float("inf"), float("nan"),
               _double(0xFFF8000000000000), 123456789012345.625, 123456789012345.875, 0.5]
-    for k in range(-8, 23):
-        centre = float(f"1e{k}")
+    for centre in [float(f"1e{k}") for k in range(-8, 23)] + [2.0**52, 2.0**53]:
         below, above = np.nextafter(centre, 0.0), np.nextafter(centre, np.inf)
         values += [np.nextafter(below, 0.0), below, centre, above, np.nextafter(above, np.inf)]
     return values + [-v for v in values]
@@ -102,6 +102,10 @@ def test_edge_values_print_as_percent(rk4_path, dim):
     (1e-5, "1.0000000000000001e-05"),
     (9.9999999999999991e-06, "9.9999999999999991e-06"),
     (0.0001, "0.0001"),
+    (0.001, "0.001"),  # the exact path's edges: 1e-3 on it, 2^52 past it
+    (0.0009999999999999998, "0.0009999999999999998"),
+    (4503599627370495.5, "4503599627370495.5"),
+    (2.0**52, "4503599627370496"),
     (1e16, "10000000000000000"),
     (-0.0, "-0"),
     (5e-324, "4.9406564584124654e-324"),
@@ -131,7 +135,8 @@ def test_the_longest_values_stay_within_the_row_bound(kernel, dim):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                          st.floats(1e-5, 1e16).flatmap(lambda v: st.sampled_from([v, -v]))),
+                          st.floats(1e-5, 1e16).flatmap(lambda v: st.sampled_from([v, -v])),
+                          st.floats(1e-3, 2.0**52, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v]))),
                 min_size=1, max_size=64))
 def test_finite_doubles_print_as_percent(kernel, values):
     assert _printed(kernel, values) == ["%.17g" % v for v in values]
